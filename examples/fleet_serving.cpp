@@ -1,12 +1,11 @@
 // fleet_serving — the sharded serving engine at fleet scale.
 //
-// ThermalMonitorService (examples/hotspot_alarm.cpp) is a single-threaded
-// façade: fine for a rack, externally synchronized by design (DESIGN.md §6).
-// This example runs the serving path built for the next three orders of
-// magnitude: a FleetEngine sharding 1000 hosts, streaming one simulated
-// telemetry batch per scrape interval through the concurrent ingestion
-// queues, then asking for the fleet's metrics table and the five hosts most
-// at risk of becoming hotspots.
+// examples/hotspot_alarm.cpp drives raw per-host dynamic predictors in a
+// single loop: fine for a rack. This example runs the serving path built
+// for the next three orders of magnitude: a FleetEngine sharding 1000
+// hosts, streaming one simulated telemetry batch per scrape interval
+// through the concurrent ingestion queues, then asking for the fleet's
+// metrics table and the five hosts most at risk of becoming hotspots.
 
 #include <cstdio>
 #include <iostream>

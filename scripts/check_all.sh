@@ -7,6 +7,8 @@
 #   asan    — scripts/check_asan.sh  (concurrency + robustness suites)
 #   tsan    — scripts/check_tsan.sh  (concurrency suites)
 #   ubsan   — scripts/check_ubsan.sh (concurrency + robustness suites)
+#   perfbench — perfbench/smoke.py (clean build of the benchmark program
+#             against src/, tiny traced and untraced runs of every workload)
 #
 # Prints one PASS/FAIL line per stage, keeps going after a failure so one
 # run reports the whole matrix, and exits nonzero if any stage failed.
@@ -51,6 +53,7 @@ run_stage lint lint_stage
 run_stage asan scripts/check_asan.sh
 run_stage tsan scripts/check_tsan.sh
 run_stage ubsan scripts/check_ubsan.sh
+run_stage perfbench python3 perfbench/smoke.py
 
 if [ "$failures" -ne 0 ]; then
   echo "$failures stage(s) failed"

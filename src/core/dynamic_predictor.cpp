@@ -60,12 +60,10 @@ void DynamicTemperaturePredictor::retarget(double t, double phi_now,
   phi0_ = phi_now;
   psi_stable_ = new_psi_stable;
   last_observed_s_ = t;
-  if (!options_.retain_calibration_on_retarget) {
-    // The new curve starts at the measured operating point, so no offset is
-    // warranted until fresh errors are observed.
-    gamma_ = 0.0;
-    last_update_s_ = t;
-  }
+  // The new curve starts at the measured operating point, so no offset is
+  // warranted until fresh errors are observed.
+  gamma_ = 0.0;
+  last_update_s_ = t;
   curve_ = PredefinedCurve(phi_now, new_psi_stable, options_.t_break_s,
                            options_.curvature);
 }

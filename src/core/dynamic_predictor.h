@@ -16,7 +16,7 @@
 //
 // Cloud dynamics (VM creation/removal/migration) change the stable target
 // at run time; retarget() restarts the curve from the current operating
-// point toward a new ψ_stable while keeping the learned γ.
+// point toward a new ψ_stable and resets γ to 0.
 
 #pragma once
 
@@ -32,11 +32,6 @@ struct DynamicOptions {
   double t_break_s = kDefaultTbreakS;
   double curvature = kDefaultCurvature;  ///< δ of ψ*(t)
   bool calibration_enabled = true;
-  /// Whether retarget() keeps the learned γ. The new curve starts at the
-  /// *measured* operating point, so the correct instantaneous offset is 0;
-  /// the default therefore resets γ. Set true when γ is known to track a
-  /// persistent sensor bias rather than model error for the previous target.
-  bool retain_calibration_on_retarget = false;
 
   void validate() const {
     detail::require(learning_rate >= 0.0 && learning_rate <= 1.0,
@@ -89,8 +84,7 @@ class DynamicTemperaturePredictor {
   double predict_ahead(double gap_s) const;
 
   /// Re-aims the curve at a new stable temperature from the current
-  /// operating point (VM churn / migration / fan change). Resets γ to 0
-  /// unless options.retain_calibration_on_retarget is set (see there).
+  /// operating point (VM churn / migration / fan change). Resets γ to 0.
   void retarget(double t, double phi_now, double new_psi_stable);
 
   double calibration() const noexcept { return gamma_; }

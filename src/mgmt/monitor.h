@@ -1,20 +1,18 @@
 // vmtherm/mgmt/monitor.h
 //
-// ThermalMonitorService: the online serving layer. One service instance
-// holds the trained stable-temperature model plus a calibrated dynamic
-// predictor per registered host; the control plane feeds it sensor samples
-// and configuration changes (VM placement / migration / fan changes), and
-// queries temperature forecasts and hotspot risks.
+// Fleet-monitoring vocabulary: a host's logical configuration and one row
+// of a hotspot-risk scan. The monitor itself is serve::FleetEngine (one
+// calibrated dynamic predictor per host, retargeted on VM churn); these
+// plain-data types are shared by the serving engine, the control plane and
+// the benchmark.
 
 #pragma once
 
-#include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "core/dynamic_predictor.h"
-#include "core/stable_predictor.h"
+#include "sim/server.h"
+#include "sim/vm.h"
 
 namespace vmtherm::mgmt {
 
@@ -26,77 +24,11 @@ struct MonitoredConfig {
   double env_temp_c = 23.0;
 };
 
-/// One hotspot-risk row from ThermalMonitorService::hotspot_risks.
+/// One hotspot-risk row from serve::FleetEngine::hotspot_scan.
 struct HotspotRisk {
   std::string host_id;
   double forecast_c = 0.0;   ///< predicted temperature at now + horizon
   bool at_risk = false;      ///< forecast >= threshold
-};
-
-/// Online thermal monitoring over a fleet.
-///
-/// Thread-compatibility: externally synchronized (one control-plane
-/// thread), per the DESIGN.md §6 rule — service façades stay single-
-/// threaded; concurrency lives in serve::FleetEngine, the library's one
-/// internally synchronized service.
-class ThermalMonitorService {
- public:
-  /// The service copies the predictor (value semantics; the model is a few
-  /// hundred support vectors at most).
-  ThermalMonitorService(core::StableTemperaturePredictor predictor,
-                        core::DynamicOptions dynamic_options = {});
-
-  /// Registers a host at absolute time t0 with its current measured
-  /// temperature. Throws ConfigError if the id is already registered.
-  void register_host(const std::string& host_id, MonitoredConfig config,
-                     double t0, double measured_c);
-
-  /// Unregisters; throws ConfigError when unknown.
-  void unregister_host(const std::string& host_id);
-
-  bool has_host(const std::string& host_id) const noexcept;
-  std::size_t host_count() const noexcept { return hosts_.size(); }
-
-  /// Feeds one sensor sample (time-ordered per host).
-  void observe(const std::string& host_id, double t, double measured_c);
-
-  /// Applies a configuration change (placement/migration/fans/env) at time
-  /// t with the current measured temperature; retargets the host's dynamic
-  /// predictor at a fresh stable prediction.
-  void update_config(const std::string& host_id, MonitoredConfig config,
-                     double t, double measured_c);
-
-  /// Current configuration of a host (throws ConfigError when unknown).
-  const MonitoredConfig& config_of(const std::string& host_id) const;
-
-  /// Forecast gap_s seconds after the host's latest observation.
-  double forecast(const std::string& host_id, double gap_s) const;
-
-  /// Stable temperature the host is predicted to converge to under its
-  /// current configuration.
-  double stable_prediction(const std::string& host_id) const;
-
-  /// Fleet-wide risk scan: forecast each host `horizon_s` ahead and flag
-  /// those at or above `threshold_c`. Rows sorted hottest first.
-  std::vector<HotspotRisk> hotspot_risks(double horizon_s,
-                                         double threshold_c) const;
-
-  const core::StableTemperaturePredictor& stable_predictor() const noexcept {
-    return predictor_;
-  }
-
- private:
-  struct Host {
-    MonitoredConfig config;
-    core::DynamicTemperaturePredictor tracker;
-  };
-
-  const Host& host(const std::string& host_id) const;
-  Host& host(const std::string& host_id);
-
-  core::StableTemperaturePredictor predictor_;
-  core::DynamicOptions dynamic_options_;
-  std::map<std::string, Host> hosts_;
 };
 
 }  // namespace vmtherm::mgmt

@@ -83,6 +83,19 @@ std::size_t FleetEngine::shard_of(const std::string& host_id) const noexcept {
 HostHandle FleetEngine::register_host(const std::string& host_id,
                                       mgmt::MonitoredConfig config, double t0,
                                       double measured_c) {
+  return admit(host_id, [&](Shard& shard) {
+    return shard.add_host(host_id, std::move(config), t0, measured_c);
+  });
+}
+
+HostHandle FleetEngine::import_host(const HostSnapshot& snapshot) {
+  return admit(snapshot.host_id,
+               [&](Shard& shard) { return shard.import_host(snapshot); });
+}
+
+template <typename AddToShard>
+HostHandle FleetEngine::admit(const std::string& host_id,
+                              AddToShard&& add_to_shard) {
   detail::require(!host_id.empty(), "host id must be non-empty");
   detail::require(!has_whitespace(host_id),
                   "host id must not contain whitespace");
@@ -90,27 +103,10 @@ HostHandle FleetEngine::register_host(const std::string& host_id,
   std::unique_lock<std::shared_mutex> lock(routes_mutex_);
   detail::require(names_.find(host_id) == names_.end(),
                   "host already registered");
-  const std::uint32_t slot =
-      shards_[shard]->add_host(host_id, std::move(config), t0, measured_c);
+  const std::uint32_t slot = add_to_shard(*shards_[shard]);
   const auto handle = static_cast<HostHandle>(routes_.size());
   routes_.push_back(Route{shard, slot, true});
   names_.emplace(host_id, handle);
-  hosts_gauge_->add(1);
-  return handle;
-}
-
-HostHandle FleetEngine::import_host(const HostSnapshot& snapshot) {
-  detail::require(!snapshot.host_id.empty(), "host id must be non-empty");
-  detail::require(!has_whitespace(snapshot.host_id),
-                  "host id must not contain whitespace");
-  const auto shard = static_cast<std::uint32_t>(shard_of(snapshot.host_id));
-  std::unique_lock<std::shared_mutex> lock(routes_mutex_);
-  detail::require(names_.find(snapshot.host_id) == names_.end(),
-                  "host already registered");
-  const std::uint32_t slot = shards_[shard]->import_host(snapshot);
-  const auto handle = static_cast<HostHandle>(routes_.size());
-  routes_.push_back(Route{shard, slot, true});
-  names_.emplace(snapshot.host_id, handle);
   hosts_gauge_->add(1);
   return handle;
 }
@@ -120,14 +116,8 @@ void FleetEngine::unregister_host(HostHandle handle) {
   detail::require(handle < routes_.size() && routes_[handle].live,
                   "unknown host handle");
   Route& route = routes_[handle];
-  shards_[route.shard]->remove_host(route.slot);
+  names_.erase(shards_[route.shard]->remove_host(route.slot));
   route.live = false;
-  for (auto it = names_.begin(); it != names_.end(); ++it) {
-    if (it->second == handle) {
-      names_.erase(it);
-      break;
-    }
-  }
   hosts_gauge_->add(-1);
 }
 

@@ -13,9 +13,8 @@
 // (per-host state only ever depends on that host's own events). See
 // DESIGN.md §7 for the ordering and backpressure contract.
 //
-// This is the one *internally synchronized* service façade in the library
-// (DESIGN.md §6); ThermalMonitorService remains the externally
-// synchronized single-control-plane variant.
+// This is the library's one fleet monitor and its one *internally
+// synchronized* service façade (DESIGN.md §6).
 
 #pragma once
 
@@ -139,8 +138,11 @@ class FleetEngine {
     bool live = false;
   };
 
-  HostHandle add_route(const std::string& host_id, std::uint32_t shard,
-                       std::uint32_t slot);
+  /// The one admission path of register_host/import_host: checks the id,
+  /// lets `add_to_shard` create the host on its shard under the exclusive
+  /// routes lock, then records the route.
+  template <typename AddToShard>
+  HostHandle admit(const std::string& host_id, AddToShard&& add_to_shard);
   Route route_of(HostHandle handle) const;
 
   core::StableTemperaturePredictor predictor_;

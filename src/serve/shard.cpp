@@ -44,49 +44,45 @@ double Shard::psi_stable(const mgmt::MonitoredConfig& config) {
 std::uint32_t Shard::add_host(std::string host_id,
                               mgmt::MonitoredConfig config, double t0,
                               double measured_c) {
+  return admit(std::move(host_id), std::move(config), [&](HostState& host) {
+    // ψ under the state lock: the cache and scratch buffers are shard state.
+    host.tracker.begin(t0, measured_c, psi_stable(host.config));
+  });
+}
+
+std::uint32_t Shard::import_host(const HostSnapshot& snapshot) {
+  return admit(snapshot.host_id, snapshot.config, [&](HostState& host) {
+    host.tracker.restore_state(snapshot.tracker);
+    host.drift.restore(snapshot.drift_positive, snapshot.drift_negative,
+                       snapshot.drifted, snapshot.drift_observations);
+  });
+}
+
+template <typename Init>
+std::uint32_t Shard::admit(std::string host_id, mgmt::MonitoredConfig config,
+                           Init&& init) {
   config.server.validate();
   std::lock_guard<std::mutex> lock(state_mutex_);
-  // ψ under the state lock: the cache and scratch buffers are shard state.
-  const double psi = psi_stable(config);
   HostState host{std::move(host_id),
                  std::move(config),
                  core::DynamicTemperaturePredictor(options_->dynamic),
                  core::CusumDetector(options_->drift_slack_c,
                                      options_->drift_threshold_c),
-                 {},
                  obs::HostAccuracy(options_->accuracy_window),
                  true};
-  host.tracker.begin(t0, measured_c, psi);
+  init(host);
   hosts_.push_back(std::move(host));
   ++live_count_;
   return static_cast<std::uint32_t>(hosts_.size() - 1);
 }
 
-std::uint32_t Shard::import_host(const HostSnapshot& snapshot) {
-  snapshot.config.server.validate();
-  std::lock_guard<std::mutex> lock(state_mutex_);
-  HostState host{snapshot.host_id,
-                 snapshot.config,
-                 core::DynamicTemperaturePredictor(options_->dynamic),
-                 core::CusumDetector(options_->drift_slack_c,
-                                     options_->drift_threshold_c),
-                 snapshot.residuals,
-                 obs::HostAccuracy(options_->accuracy_window),
-                 true};
-  host.tracker.restore_state(snapshot.tracker);
-  host.drift.restore(snapshot.drift_positive, snapshot.drift_negative,
-                     snapshot.drifted, snapshot.drift_observations);
-  hosts_.push_back(std::move(host));
-  ++live_count_;
-  return static_cast<std::uint32_t>(hosts_.size() - 1);
-}
-
-void Shard::remove_host(std::uint32_t slot) {
+std::string Shard::remove_host(std::uint32_t slot) {
   std::lock_guard<std::mutex> lock(state_mutex_);
   detail::require(slot < hosts_.size() && hosts_[slot].live,
                   "shard slot is not live");
   hosts_[slot].live = false;
   --live_count_;
+  return hosts_[slot].host_id;
 }
 
 std::size_t Shard::live_host_count() const {
@@ -200,7 +196,6 @@ void Shard::apply(const QueuedEvent& event) {
         // before the observation updates it.
         const double predicted = host.tracker.predict_at(event.time_s);
         const double residual = event.measured_c - predicted;
-        host.residuals.add(residual);
         metrics_.calibration_abs_error_c->record(std::abs(residual));
         const bool was_drifted = host.drift.drifted();
         host.drift.observe(residual);
@@ -284,7 +279,6 @@ void Shard::append_snapshots(std::vector<HostSnapshot>& out) const {
     snapshot.host_id = host.host_id;
     snapshot.config = host.config;
     snapshot.tracker = host.tracker.export_state();
-    snapshot.residuals = host.residuals;
     snapshot.drift_positive = host.drift.positive_sum();
     snapshot.drift_negative = host.drift.negative_sum();
     snapshot.drifted = host.drift.drifted();

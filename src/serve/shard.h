@@ -2,7 +2,7 @@
 //
 // One shard of the fleet-serving engine: a bounded MPSC ingestion queue
 // plus the owned state of every host the stable hash assigned here (config,
-// calibrated dynamic predictor, residual statistics, CUSUM drift state).
+// calibrated dynamic predictor, CUSUM drift state, rolling accuracy).
 //
 // Concurrency protocol (see DESIGN.md §7):
 //  * queue_mutex_ guards the event queue and the drain-claim flag; any
@@ -91,9 +91,9 @@ class Shard {
   /// Restores a host from a snapshot (exact tracker state, no begin()).
   std::uint32_t import_host(const HostSnapshot& snapshot);
 
-  /// Tombstones a slot; queued events addressed to it count as apply
-  /// errors.
-  void remove_host(std::uint32_t slot);
+  /// Tombstones a slot and returns its host id; queued events addressed to
+  /// it count as apply errors.
+  std::string remove_host(std::uint32_t slot);
 
   std::size_t live_host_count() const;
 
@@ -138,10 +138,16 @@ class Shard {
     mgmt::MonitoredConfig config;
     core::DynamicTemperaturePredictor tracker;
     core::CusumDetector drift;
-    RunningStats residuals;
     obs::HostAccuracy accuracy;
     bool live = false;
   };
+
+  /// The one admission path of add_host/import_host: validates the server,
+  /// builds the host's state, lets `init` start or restore its tracker
+  /// under state_mutex_, then appends it. Returns the new slot.
+  template <typename Init>
+  std::uint32_t admit(std::string host_id, mgmt::MonitoredConfig config,
+                      Init&& init);
 
   /// Drains queue chunks until the queue is empty; requires the caller to
   /// have claimed drain_active_. Clears the claim and notifies flushers

@@ -93,10 +93,6 @@ void save_host(std::ostream& os, const HostSnapshot& host) {
   os << "tracker " << (t.started ? 1 : 0) << " " << t.t0 << " " << t.gamma
      << " " << t.last_update_s << " " << t.last_observed_s << " " << t.phi0
      << " " << t.psi_stable << "\n";
-  const RunningStats& r = host.residuals;
-  os << "resid " << r.count() << " " << r.mean() << " "
-     << r.sum_squared_deviations() << " " << r.min() << " " << r.max()
-     << "\n";
   os << "cusum " << host.drift_positive << " " << host.drift_negative << " "
      << (host.drifted ? 1 : 0) << " " << host.drift_observations << "\n";
 }
@@ -146,17 +142,6 @@ HostSnapshot load_host(std::istream& is) {
       read_value<double>(is, "tracker last observed");
   host.tracker.phi0 = read_value<double>(is, "tracker phi0");
   host.tracker.psi_stable = read_value<double>(is, "tracker psi_stable");
-  expect(is, "resid");
-  const auto n = read_value<std::size_t>(is, "residual count");
-  const auto mean = read_value<double>(is, "residual mean");
-  const auto m2 = read_value<double>(is, "residual m2");
-  const auto min = read_value<double>(is, "residual min");
-  const auto max = read_value<double>(is, "residual max");
-  try {
-    host.residuals = RunningStats::from_parts(n, mean, m2, min, max);
-  } catch (const ConfigError& e) {
-    throw IoError(std::string("fleet snapshot: ") + e.what());
-  }
   expect(is, "cusum");
   host.drift_positive = read_value<double>(is, "cusum positive");
   host.drift_negative = read_value<double>(is, "cusum negative");
@@ -170,12 +155,12 @@ HostSnapshot load_host(std::istream& is) {
 void save_fleet(std::ostream& os, FleetEngine& engine) {
   engine.flush();
   os << std::setprecision(17);
-  os << "vmtherm_fleet v1\n";
+  os << "vmtherm_fleet v2\n";
   const FleetEngineOptions& opt = engine.options();
   os << "dynamic " << opt.dynamic.learning_rate << " "
      << opt.dynamic.update_interval_s << " " << opt.dynamic.t_break_s << " "
-     << opt.dynamic.curvature << " " << (opt.dynamic.calibration_enabled ? 1 : 0)
-     << " " << (opt.dynamic.retain_calibration_on_retarget ? 1 : 0) << "\n";
+     << opt.dynamic.curvature << " "
+     << (opt.dynamic.calibration_enabled ? 1 : 0) << "\n";
   os << "drift " << opt.drift_slack_c << " " << opt.drift_threshold_c << "\n";
   ml::save_scaler(os, engine.stable_predictor().scaler());
   ml::save_svr(os, engine.stable_predictor().model());
@@ -220,7 +205,7 @@ void save_fleet(std::ostream& os, FleetEngine& engine) {
 std::unique_ptr<FleetEngine> load_fleet(std::istream& is,
                                         FleetEngineOptions options) {
   expect(is, "vmtherm_fleet");
-  expect(is, "v1");
+  expect(is, "v2");
   expect(is, "dynamic");
   options.dynamic.learning_rate = read_value<double>(is, "learning rate");
   options.dynamic.update_interval_s =
@@ -228,8 +213,6 @@ std::unique_ptr<FleetEngine> load_fleet(std::istream& is,
   options.dynamic.t_break_s = read_value<double>(is, "t_break");
   options.dynamic.curvature = read_value<double>(is, "curvature");
   options.dynamic.calibration_enabled = read_flag(is, "calibration flag");
-  options.dynamic.retain_calibration_on_retarget =
-      read_flag(is, "retain-calibration flag");
   expect(is, "drift");
   options.drift_slack_c = read_value<double>(is, "drift slack");
   options.drift_threshold_c = read_value<double>(is, "drift threshold");

@@ -2,14 +2,14 @@
 //
 // Versioned text snapshot of a FleetEngine: the trained stable model
 // (embedded ml/model_io sections), the dynamic/drift configuration, every
-// live host's exact tracker/residual/drift state, and the deterministic
+// live host's exact tracker/drift state, and the deterministic
 // metric counters. Doubles are written with 17 significant digits, so a
 // save → load → save round-trip is byte-identical and a restored engine
 // continues bitwise-exactly where the saved one stopped.
 //
-// Format ("vmtherm_fleet v1"):
-//   vmtherm_fleet v1
-//   dynamic <lr> <update_s> <t_break_s> <curvature> <calib> <retain>
+// Format ("vmtherm_fleet v2"; v1 files are rejected):
+//   vmtherm_fleet v2
+//   dynamic <lr> <update_s> <t_break_s> <curvature> <calib>
 //   drift <slack_c> <threshold_c>
 //   <ml::save_scaler section>
 //   <ml::save_svr section>
@@ -20,7 +20,6 @@
 //            <idle_w> <max_cpu_w> <cpu_exp> <mem_w_per_gb>
 //            <c_die> <c_sink> <r_ds> <r_sa> <ref_fans> <fan_exp>
 //     tracker <started> <t0> <gamma> <last_upd> <last_obs> <phi0> <psi>
-//     resid <n> <mean> <m2> <min> <max>
 //     cusum <pos> <neg> <drifted> <count>
 //   metrics <n>
 //     counter <name> <value>

@@ -153,20 +153,6 @@ TEST(DynamicPredictorTest, RetargetResetsGammaByDefault) {
   EXPECT_DOUBLE_EQ(p.predict_at(300.0), 52.0);
 }
 
-TEST(DynamicPredictorTest, RetargetCanRetainGammaWhenConfigured) {
-  auto options = paper_options();
-  options.retain_calibration_on_retarget = true;
-  DynamicTemperaturePredictor p(options);
-  p.begin(0.0, 30.0, 60.0);
-  p.observe(15.0, p.curve().value(15.0) + 2.0);
-  const double gamma = p.calibration();
-  ASSERT_GT(gamma, 0.0);
-
-  p.retarget(300.0, 52.0, 48.0);
-  EXPECT_DOUBLE_EQ(p.calibration(), gamma);
-  EXPECT_DOUBLE_EQ(p.predict_at(300.0), 52.0 + gamma);
-}
-
 TEST(DynamicPredictorTest, RetargetRestartsUpdateClock) {
   // After a (resetting) retarget, the first calibration update happens one
   // full update interval later, not immediately.

@@ -7,10 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <thread>
 #include <vector>
 
+#include "core/dynamic_predictor.h"
 #include "core/evaluator.h"
+#include "sim/machine.h"
 
 namespace vmtherm::serve {
 namespace {
@@ -53,6 +56,13 @@ mgmt::MonitoredConfig idle_config() {
   idle.task = sim::TaskType::kIdle;
   config.vms = {idle};
   return config;
+}
+
+/// ψ_stable from the uncached predictor: what the engine's memoized
+/// featurization must reproduce.
+double stable_prediction(const mgmt::MonitoredConfig& config) {
+  return shared_predictor().predict(config.server, config.vms, config.fans,
+                                    config.env_temp_c);
 }
 
 FleetEngineOptions manual_options(std::size_t shards = 2) {
@@ -127,28 +137,177 @@ TEST(FleetEngineTest, ManualDrainAppliesInOrder) {
   EXPECT_GT(engine.forecast(h, 60.0), 23.0);
 }
 
-TEST(FleetEngineTest, MatchesMonitorServiceBitwise) {
-  // Same event stream, same defaults: the sharded engine and the serial
-  // ThermalMonitorService must produce identical forecasts.
-  FleetEngine engine(shared_predictor(), manual_options(3));
-  mgmt::ThermalMonitorService monitor(shared_predictor());
+TEST(FleetEngineTest, ImportHostRejectsBadIdsLikeRegister) {
+  FleetEngine engine(shared_predictor(), manual_options());
+  engine.register_host("h1", busy_config(), 0.0, 23.0);
+  HostSnapshot snapshot = engine.export_hosts().front();
+
+  // Duplicate id.
+  EXPECT_THROW(engine.import_host(snapshot), ConfigError);
+  snapshot.host_id = "";
+  EXPECT_THROW(engine.import_host(snapshot), ConfigError);
+  snapshot.host_id = "bad id";
+  EXPECT_THROW(engine.import_host(snapshot), ConfigError);
+  EXPECT_EQ(engine.host_count(), 1u);
+  EXPECT_EQ(engine.metrics().gauge("fleet.hosts").value(), 1);
+}
+
+TEST(FleetEngineTest, UnknownHandleQueriesThrow) {
+  FleetEngine engine(shared_predictor(), manual_options());
   const HostHandle h = engine.register_host("h1", busy_config(), 0.0, 23.0);
-  monitor.register_host("h1", busy_config(), 0.0, 23.0);
+  for (const HostHandle ghost : {h + 1, kInvalidHostHandle}) {
+    EXPECT_THROW((void)engine.config_of(ghost), ConfigError);
+    EXPECT_THROW((void)engine.forecast(ghost, 60.0), ConfigError);
+    EXPECT_THROW(engine.unregister_host(ghost), ConfigError);
+  }
+  engine.unregister_host(h);
+  EXPECT_THROW((void)engine.config_of(h), ConfigError);
+  EXPECT_THROW(engine.unregister_host(h), ConfigError);
+}
+
+TEST(FleetEngineTest, MatchesMonitorServiceBitwise) {
+  // Same event stream, same defaults: the sharded engine and a serial
+  // reference built from the objects it wraps (one dynamic predictor, ψ
+  // from the uncached stable predictor) must produce identical forecasts.
+  FleetEngine engine(shared_predictor(), manual_options(3));
+  core::DynamicTemperaturePredictor reference;
+  const HostHandle h = engine.register_host("h1", busy_config(), 0.0, 23.0);
+  reference.begin(0.0, 23.0, stable_prediction(busy_config()));
 
   for (double t = 15.0; t <= 300.0; t += 15.0) {
     const double measured = 30.0 + t * 0.08;
     engine.ingest(TelemetryEvent::observe(h, t, measured));
-    monitor.observe("h1", t, measured);
+    reference.observe(t, measured);
   }
   engine.ingest(
       TelemetryEvent::update_config(h, 315.0, 52.0, idle_config()));
-  monitor.update_config("h1", idle_config(), 315.0, 52.0);
+  reference.retarget(315.0, 52.0, stable_prediction(idle_config()));
   engine.flush();
 
   for (const double gap : {0.0, 30.0, 60.0, 600.0}) {
-    EXPECT_EQ(engine.forecast(h, gap), monitor.forecast("h1", gap));
+    EXPECT_EQ(engine.forecast(h, gap), reference.predict_ahead(gap));
   }
   EXPECT_EQ(engine.calibration_of(h), 0.0);  // retarget resets gamma
+}
+
+TEST(FleetEngineTest, ForecastRisesTowardStablePrediction) {
+  FleetEngine engine(shared_predictor(), manual_options());
+  const HostHandle h = engine.register_host("h1", busy_config(), 0.0, 23.0);
+  const double near = engine.forecast(h, 30.0);
+  const double far = engine.forecast(h, 590.0);
+  EXPECT_GT(far, near);  // heating toward the stable target
+  EXPECT_NEAR(far, stable_prediction(busy_config()), 6.0);
+}
+
+TEST(FleetEngineTest, ObservationsCalibrateForecasts) {
+  FleetEngine engine(shared_predictor(), manual_options());
+  const HostHandle h = engine.register_host("h1", busy_config(), 0.0, 23.0);
+  // Feed measurements consistently 4 C above the model's own trajectory.
+  for (double t = 15.0; t <= 300.0; t += 15.0) {
+    const double model_now = engine.forecast(h, 0.0);
+    engine.ingest(TelemetryEvent::observe(h, t, model_now + 4.0));
+    engine.flush();
+  }
+  EXPECT_GT(engine.calibration_of(h), 0.0);
+  // After many updates the forecast carries (most of) the offset.
+  const double before_offset = engine.forecast(h, 0.0);
+  engine.ingest(TelemetryEvent::observe(h, 315.0, before_offset));
+  engine.flush();
+  EXPECT_GT(engine.forecast(h, 0.0), before_offset - 1.0);
+}
+
+TEST(FleetEngineTest, UpdateConfigRetargets) {
+  FleetEngine engine(shared_predictor(), manual_options());
+  const HostHandle h = engine.register_host("h1", busy_config(), 0.0, 23.0);
+  for (double t = 15.0; t <= 120.0; t += 15.0) {
+    engine.ingest(TelemetryEvent::observe(h, t, 30.0 + t * 0.05));
+  }
+  engine.ingest(TelemetryEvent::update_config(h, 120.0, 36.0, idle_config()));
+  engine.flush();
+  EXPECT_EQ(engine.config_of(h).vms.size(), 1u);
+
+  const double busy_stable = stable_prediction(busy_config());
+  const double idle_stable = stable_prediction(idle_config());
+  EXPECT_LT(idle_stable, busy_stable - 5.0);
+  // Forecast now heads toward the idle stable prediction (consistency of
+  // the retargeted curve, not absolute model accuracy).
+  EXPECT_NEAR(engine.forecast(h, 590.0), idle_stable, 2.0);
+  EXPECT_LT(engine.forecast(h, 590.0), busy_stable - 4.0);
+}
+
+TEST(FleetEngineTest, TracksLiveSimulatedMachine) {
+  // End-to-end: the engine tracks a simulated machine within a tight MAE.
+  FleetEngine engine(shared_predictor(), manual_options());
+  sim::MachineOptions machine_options;
+  machine_options.initial_temp_c = 23.0;
+  sim::PhysicalMachine machine(sim::make_server_spec("medium"),
+                               machine_options, Rng(3));
+  sim::VmConfig burn;
+  burn.vcpus = 8;
+  burn.memory_gb = 8.0;
+  burn.task = sim::TaskType::kCpuBurn;
+  machine.add_vm(sim::Vm("b0", burn, Rng(4)));
+  machine.add_vm(sim::Vm("b1", burn, Rng(5)));
+  const HostHandle h = engine.register_host("m", busy_config(), 0.0, 23.0);
+
+  double abs_err = 0.0;
+  int n = 0;
+  for (int step = 1; step <= 240; ++step) {
+    const auto sample = machine.step(5.0, 23.0);
+    abs_err += std::abs(engine.forecast(h, 0.0) - sample.cpu_temp_sensed_c);
+    ++n;
+    engine.ingest(TelemetryEvent::observe(h, sample.time_s,
+                                          sample.cpu_temp_sensed_c));
+    engine.flush();
+  }
+  EXPECT_LT(abs_err / n, 2.0);
+}
+
+// The fleet-monitor contract: register, query, reject duplicates,
+// unregister and rank hotspot risk, checked on the engine as the library's
+// one fleet monitor.
+
+TEST(MonitorTest, RegisterAndQuery) {
+  FleetEngine engine(shared_predictor(), manual_options());
+  const HostHandle h = engine.register_host("h1", busy_config(), 0.0, 23.0);
+  EXPECT_TRUE(engine.has_host("h1"));
+  EXPECT_EQ(engine.host_count(), 1u);
+  EXPECT_GT(engine.forecast(h, 590.0), 30.0);
+  EXPECT_EQ(engine.config_of(h).fans, 4);
+}
+
+TEST(MonitorTest, DuplicateRegistrationThrows) {
+  FleetEngine engine(shared_predictor(), manual_options());
+  engine.register_host("h1", busy_config(), 0.0, 23.0);
+  EXPECT_THROW(engine.register_host("h1", busy_config(), 0.0, 23.0),
+               ConfigError);
+  EXPECT_EQ(engine.host_count(), 1u);
+}
+
+TEST(MonitorTest, UnregisterRemoves) {
+  FleetEngine engine(shared_predictor(), manual_options());
+  const HostHandle h = engine.register_host("h1", busy_config(), 0.0, 23.0);
+  engine.unregister_host(h);
+  EXPECT_FALSE(engine.has_host("h1"));
+  EXPECT_EQ(engine.host_count(), 0u);
+}
+
+TEST(MonitorTest, HotspotRisksSortedAndFlagged) {
+  FleetEngine engine(shared_predictor(), manual_options());
+  engine.register_host("hot", busy_config(), 0.0, 23.0);
+  engine.register_host("cool", idle_config(), 0.0, 23.0);
+
+  // Threshold midway between the two configs' ψ_stable, so the at_risk
+  // split does not hang on the shared predictor's exact fit.
+  const double threshold_c =
+      (stable_prediction(busy_config()) + stable_prediction(idle_config())) /
+      2.0;
+  const auto risks = engine.hotspot_scan(590.0, threshold_c);
+  ASSERT_EQ(risks.size(), 2u);
+  EXPECT_EQ(risks[0].host_id, "hot");
+  EXPECT_GE(risks[0].forecast_c, risks[1].forecast_c);
+  EXPECT_TRUE(risks[0].at_risk);
+  EXPECT_FALSE(risks[1].at_risk);
 }
 
 TEST(FleetEngineTest, BackpressureDropsNewestWhenFull) {

@@ -1,6 +1,6 @@
 // Tests for serve/replay: deterministic fleet replay — byte-identical
 // digests and metrics at any shard/thread count, and bitwise equivalence
-// with a serial ThermalMonitorService fed the same event stream.
+// with a serial per-host tracker reference fed the same event stream.
 
 #include "serve/replay.h"
 
@@ -8,6 +8,7 @@
 
 #include <bit>
 
+#include "core/dynamic_predictor.h"
 #include "core/evaluator.h"
 #include "sim/experiment.h"
 #include "util/hash.h"
@@ -112,9 +113,11 @@ TEST(FleetReplayTest, ManualDrainMatchesPooledDrain) {
 
 TEST(FleetReplayTest, MatchesSerialMonitorService) {
   // Rebuild the replay's exact event stream (same sampler seed, same
-  // traces) and feed it to the serial, externally synchronized
-  // ThermalMonitorService: every per-step forecast must agree bitwise with
-  // the sharded engine's digest. No churn so both sides see pure observes.
+  // traces) and feed it to a serial reference built from the objects the
+  // engine wraps: one DynamicTemperaturePredictor per host, seeded with the
+  // uncached stable prediction. Every per-step forecast must agree bitwise
+  // with the sharded engine's digest. No churn so both sides see pure
+  // observes.
   ReplayOptions options = small_replay();
   options.churn_every = 0;
   options.engine.shards = 4;
@@ -127,30 +130,28 @@ TEST(FleetReplayTest, MatchesSerialMonitorService) {
   sim::ScenarioSampler sampler(ranges, options.seed);
   const auto configs = sampler.sample(options.hosts);
 
-  mgmt::ThermalMonitorService monitor(shared_predictor());
   std::vector<sim::TemperatureTrace> traces;
+  std::vector<core::DynamicTemperaturePredictor> trackers(options.hosts);
   for (std::size_t h = 0; h < options.hosts; ++h) {
     traces.push_back(sim::run_experiment(configs[h]).trace);
-    mgmt::MonitoredConfig config;
-    config.server = configs[h].server;
-    config.fans = configs[h].active_fans;
-    config.vms = configs[h].vms;
-    config.env_temp_c = configs[h].environment.base_c;
-    monitor.register_host(replay_host_id(h), config, traces[h][0].time_s,
-                          traces[h][0].cpu_temp_sensed_c);
+    const double psi = shared_predictor().predict(
+        configs[h].server, configs[h].vms, configs[h].active_fans,
+        configs[h].environment.base_c);
+    trackers[h].begin(traces[h][0].time_s, traces[h][0].cpu_temp_sensed_c,
+                      psi);
   }
 
   std::uint64_t digest = util::kFnv1a64Offset;
   for (std::size_t step = 1; step <= options.steps; ++step) {
     for (std::size_t h = 0; h < options.hosts; ++h) {
       const auto index = std::min(step, traces[h].size() - 1);
-      monitor.observe(replay_host_id(h), traces[h][index].time_s,
-                      traces[h][index].cpu_temp_sensed_c);
+      trackers[h].observe(traces[h][index].time_s,
+                          traces[h][index].cpu_temp_sensed_c);
     }
     for (std::size_t h = 0; h < options.hosts; ++h) {
-      digest = util::fnv1a64_mix(
-          digest, std::bit_cast<std::uint64_t>(
-                      monitor.forecast(replay_host_id(h), options.gap_s)));
+      const double forecast = trackers[h].predict_ahead(options.gap_s);
+      digest =
+          util::fnv1a64_mix(digest, std::bit_cast<std::uint64_t>(forecast));
     }
   }
   EXPECT_EQ(report.forecast_digest, digest);
