@@ -11,6 +11,7 @@
 #include "ml/forest.h"
 #include "ml/grid.h"
 #include "ml/svr.h"
+#include "ml/svr_inference.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -68,7 +69,7 @@ void BM_SvrPredict(benchmark::State& state) {
 BENCHMARK(BM_SvrPredict)->Arg(128)->Arg(512);
 
 void BM_SvrPredictBatch(benchmark::State& state) {
-  // Batched inference over the packed engine; items/sec here divided by
+  // Batched inference over the packed kernel; items/sec here divided by
   // BM_SvrPredict's rate is the batching win at equal support size.
   const auto data = synthetic_data(static_cast<std::size_t>(state.range(0)),
                                    16, 2);
@@ -89,7 +90,7 @@ BENCHMARK(BM_SvrPredictBatch)->Arg(128)->Arg(512);
 
 void BM_SvrPredictBatchThreaded(benchmark::State& state) {
   // predict_batch sharded over a pool; bitwise-identical results to the
-  // single-thread run by the engine's determinism contract.
+  // single-thread run by the inference determinism contract.
   const auto data = synthetic_data(512, 16, 2);
   const auto model = ml::SvrModel::train(data, rbf_params());
   constexpr std::size_t kQueries = 4096;

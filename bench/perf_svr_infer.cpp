@@ -1,7 +1,7 @@
 // bench/perf_svr_infer.cpp
 //
-// Batched SVR inference throughput: the packed SvrInference engine vs. a
-// scalar reference that replays the pre-engine code path (per-SV
+// Batched SVR inference throughput: SvrModel's packed kernel vs. a
+// scalar reference that replays the pre-packing code path (per-SV
 // kernel_eval over ragged vector<vector<double>> storage plus libm exp).
 // Emits machine-readable JSON (BENCH_svr_infer.json) next to the
 // human-readable table.
@@ -97,7 +97,7 @@ struct Rng {
   }
 };
 
-/// The pre-engine prediction path, kept verbatim as the scalar baseline:
+/// The pre-packing prediction path, kept verbatim as the scalar baseline:
 /// ragged storage, per-SV kernel_eval, accumulate in SV order.
 double scalar_predict(const ml::KernelParams& kernel,
                       const std::vector<std::vector<double>>& svs,
@@ -184,7 +184,7 @@ int main(int argc, char** argv) {
       if (trial == 0 || batched_s < batched_best_s) batched_best_s = batched_s;
     }
 
-    // Correctness gate: the packed engine must agree with the pre-engine
+    // Correctness gate: the packed kernel must agree with the pre-packing
     // path to a few ulps (the RBF summation order differs by design).
     for (std::size_t i = 0; i < args.queries; ++i) {
       const double tolerance =

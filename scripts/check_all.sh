@@ -6,7 +6,8 @@
 #             run standalone here so its diagnostics reach the console)
 #   asan    — scripts/check_asan.sh  (concurrency + robustness suites)
 #   tsan    — scripts/check_tsan.sh  (concurrency suites)
-#   ubsan   — scripts/check_ubsan.sh (concurrency + robustness suites)
+#   ubsan   — scripts/check_ubsan.sh (concurrency + robustness suites,
+#             portable inference TU: -DVMTHERM_INFERENCE_NATIVE=OFF)
 #   perfbench — perfbench/smoke.py (clean build of the benchmark program
 #             against src/, tiny traced and untraced runs of every workload)
 #

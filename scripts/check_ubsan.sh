@@ -7,7 +7,10 @@
 #   scripts/check_ubsan.sh [build-dir]
 #
 # Benches and examples are skipped — only the tested paths need the
-# instrumented build.
+# instrumented build. The SVR inference TU is built portable
+# (-DVMTHERM_INFERENCE_NATIVE=OFF): the release stage of check_all.sh
+# covers the -march=native build, so the inference suites' bitwise
+# contract runs here against the baseline code generation as well.
 set -eu
 
 BUILD_DIR="${1:-build-ubsan}"
@@ -16,6 +19,7 @@ cmake -B "$BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DVMTHERM_SANITIZE=undefined \
   -DVMTHERM_WERROR=ON \
+  -DVMTHERM_INFERENCE_NATIVE=OFF \
   -DVMTHERM_BUILD_BENCH=OFF \
   -DVMTHERM_BUILD_EXAMPLES=OFF
 cmake --build "$BUILD_DIR" -j \

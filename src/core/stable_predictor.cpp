@@ -52,12 +52,6 @@ double StableTemperaturePredictor::predict(const Record& record) const {
   return model_.predict(x);
 }
 
-double StableTemperaturePredictor::predict(const Record& record,
-                                           StablePredictScratch& scratch) const {
-  encode_features(record, scratch.features);
-  return predict_from_features(scratch.features, scratch.scaled);
-}
-
 double StableTemperaturePredictor::predict_from_features(
     std::span<const double> features, std::vector<double>& scaled) const {
   scaler_.transform_into(features, scaled);

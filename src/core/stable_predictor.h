@@ -37,8 +37,10 @@ struct StableTrainReport {
   std::size_t training_records = 0;
 };
 
-/// Reusable buffers for the allocation-free predict overloads. One scratch
-/// per caller (it is NOT thread-safe); buffers grow once and are reused.
+/// Reusable buffers for allocation-free prediction on hot paths (serve):
+/// encode_features() into `features`, then predict_from_features() scales
+/// into `scaled`. One scratch per caller (it is NOT thread-safe); buffers
+/// grow once and are reused.
 struct StablePredictScratch {
   std::vector<double> features;  ///< raw Eq. (2) encoding
   std::vector<double> scaled;    ///< min-max scaled copy fed to the SVR
@@ -63,11 +65,6 @@ class StableTemperaturePredictor {
   double predict(const sim::ServerSpec& server,
                  const std::vector<sim::VmConfig>& vms, int active_fans,
                  double env_temp_c) const;
-
-  /// Allocation-free variant for hot paths (serve): encodes and scales
-  /// into `scratch`, leaving the raw encoding in scratch.features —
-  /// callers key ψ_stable memoization on exactly those bits.
-  double predict(const Record& record, StablePredictScratch& scratch) const;
 
   /// Predicts from an already-encoded raw (unscaled) feature vector,
   /// scaling into `scaled`. Bitwise-identical to predict() on the record

@@ -71,14 +71,11 @@ void save_svr(std::ostream& os, const SvrModel& model) {
   os << "kernel " << kernel_kind_name(k.kind) << " gamma " << k.gamma
      << " degree " << k.degree << " coef0 " << k.coef0 << '\n';
   os << "bias " << model.bias() << '\n';
-  // Serialized straight from the packed row-major matrix; row k of the
-  // engine is support vector k, so the on-disk format is unchanged.
-  const SvrInference& inference = model.inference();
-  os << "dim " << inference.dim() << " nsv " << inference.support_vector_count()
+  os << "dim " << model.dim() << " nsv " << model.support_vector_count()
      << '\n';
-  for (std::size_t i = 0; i < inference.support_vector_count(); ++i) {
-    os << inference.coefficients()[i];
-    for (double v : inference.support_vector(i)) os << ' ' << v;
+  for (std::size_t i = 0; i < model.support_vector_count(); ++i) {
+    os << model.coefficients()[i];
+    for (double v : model.support_vector(i)) os << ' ' << v;
     os << '\n';
   }
 }
@@ -109,10 +106,11 @@ SvrModel load_svr(std::istream& is) {
   const auto nsv =
       static_cast<std::size_t>(read_count(is, "nsv", kMaxSupportVectors));
 
+  // Storage grows as rows parse: the header's nsv is untrusted, and
+  // reserving it up front would turn a short body under a huge count into
+  // bad_alloc instead of IoError.
   std::vector<std::vector<double>> svs;
   std::vector<double> coefs;
-  svs.reserve(nsv);
-  coefs.reserve(nsv);
   for (std::size_t i = 0; i < nsv; ++i) {
     coefs.push_back(read_double(is, "coefficient"));
     std::vector<double> sv(dim);
@@ -121,7 +119,7 @@ SvrModel load_svr(std::istream& is) {
     }
     svs.push_back(std::move(sv));
   }
-  return SvrModel(kernel, std::move(svs), std::move(coefs), bias);
+  return SvrModel(kernel, svs, std::move(coefs), bias);
 }
 
 void save_scaler(std::ostream& os, const MinMaxScaler& scaler) {
@@ -172,11 +170,6 @@ void save_svr_file(const std::string& path, const SvrModel& model) {
 SvrModel load_svr_file(const std::string& path) {
   auto in = open_in(path);
   return load_svr(in);
-}
-
-void save_scaler_file(const std::string& path, const MinMaxScaler& scaler) {
-  auto out = open_out(path);
-  save_scaler(out, scaler);
 }
 
 MinMaxScaler load_scaler_file(const std::string& path) {

@@ -35,7 +35,6 @@ MinMaxScaler load_scaler(std::istream& is);
 /// opened/created).
 void save_svr_file(const std::string& path, const SvrModel& model);
 SvrModel load_svr_file(const std::string& path);
-void save_scaler_file(const std::string& path, const MinMaxScaler& scaler);
 MinMaxScaler load_scaler_file(const std::string& path);
 
 }  // namespace vmtherm::ml

@@ -366,50 +366,7 @@ SvrModel SvrModel::train(const Dataset& data, const SvrParams& params,
   local.support_vector_count = svs.size();
   if (report != nullptr) *report = local;
 
-  return SvrModel(params.kernel, std::move(svs), std::move(coefs), local.bias);
-}
-
-SvrModel::SvrModel(KernelParams kernel,
-                   std::vector<std::vector<double>> support_vectors,
-                   std::vector<double> coefficients, double bias)
-    : kernel_(kernel),
-      support_vectors_(std::move(support_vectors)),
-      coefficients_(std::move(coefficients)),
-      bias_(bias),
-      // Validates the kernel, the sv/coef alignment and the row
-      // dimensions, and packs the evaluator in one pass.
-      inference_(kernel_, support_vectors_, coefficients_, bias_) {}
-
-double SvrModel::predict(std::span<const double> x) const {
-  return inference_.predict(x);
-}
-
-std::vector<double> SvrModel::predict(const Dataset& data) const {
-  return predict_batch(data, nullptr);
-}
-
-std::vector<double> SvrModel::predict_batch(const Dataset& data,
-                                            util::ThreadPool* pool) const {
-  std::vector<double> out(data.size());
-  if (inference_.support_vector_count() == 0) {
-    std::fill(out.begin(), out.end(), bias_);
-    return out;
-  }
-  const std::size_t dim = inference_.dim();
-  std::vector<double> flat;
-  flat.reserve(data.size() * dim);
-  for (const auto& s : data.samples()) {
-    detail::require_data(s.x.size() == dim, "svr predict dimension mismatch");
-    flat.insert(flat.end(), s.x.begin(), s.x.end());
-  }
-  inference_.predict_batch(flat, data.size(), out, pool);
-  return out;
-}
-
-void SvrModel::predict_batch(std::span<const double> queries,
-                             std::size_t query_count, std::span<double> out,
-                             util::ThreadPool* pool) const {
-  inference_.predict_batch(queries, query_count, out, pool);
+  return SvrModel(params.kernel, svs, std::move(coefs), local.bias);
 }
 
 }  // namespace vmtherm::ml

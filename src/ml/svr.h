@@ -24,7 +24,10 @@
 
 #include "ml/dataset.h"
 #include "ml/kernel.h"
-#include "ml/svr_inference.h"
+
+namespace vmtherm::util {
+class ThreadPool;
+}
 
 namespace vmtherm::ml {
 
@@ -62,7 +65,11 @@ struct SvrTrainReport {
   double final_violation = 0.0;
 };
 
-/// A trained ε-SVR model: support vectors, their coefficients and the bias.
+/// A trained ε-SVR model: kernel, bias, coefficients and one
+/// support-vector store in the layout the batched inference kernel
+/// streams (svr_inference.cpp; see svr_inference.h for the
+/// bitwise-determinism contract). Immutable after construction; safe to
+/// share across threads.
 class SvrModel {
  public:
   /// Trains on `data` (which must be non-empty and finite). If `report` is
@@ -72,50 +79,60 @@ class SvrModel {
   static SvrModel train(const Dataset& data, const SvrParams& params,
                         SvrTrainReport* report = nullptr);
 
-  /// Reconstructs a model from persisted parts (model_io).
-  SvrModel(KernelParams kernel, std::vector<std::vector<double>> support_vectors,
+  /// Packs a model from ragged parts (training, model_io) and keeps none
+  /// of the ragged input. Throws ConfigError on an invalid kernel, a
+  /// sv/coef count mismatch or support vectors of differing dimensions.
+  /// Zero support vectors give f(x) = bias for a query of any dimension.
+  SvrModel(KernelParams kernel,
+           const std::vector<std::vector<double>>& support_vectors,
            std::vector<double> coefficients, double bias);
 
   /// f(x) = Σ β_k K(sv_k, x) + b. Throws DataError on dimension mismatch.
-  /// Evaluated by the packed SvrInference engine (see svr_inference.h for
-  /// the bitwise-determinism contract).
   double predict(std::span<const double> x) const;
 
-  /// Batch prediction over a dataset's features — routed through the
-  /// packed engine; bitwise-identical to calling predict() per sample.
-  std::vector<double> predict(const Dataset& data) const;
-
-  /// Batch prediction over a dataset, optionally sharded across `pool`
-  /// (bitwise-identical at any thread count).
-  std::vector<double> predict_batch(const Dataset& data,
-                                    util::ThreadPool* pool = nullptr) const;
+  /// Prediction for every sample of `data`, optionally sharded across
+  /// `pool`; bitwise-identical to calling predict() per sample at any
+  /// thread count.
+  std::vector<double> predict(const Dataset& data,
+                              util::ThreadPool* pool = nullptr) const;
 
   /// Batched prediction over `query_count` queries packed row-major into
-  /// `queries`; see SvrInference::predict_batch.
+  /// `queries` (query_count x dim). Results land in `out` in query order.
+  /// When `pool` is non-null, query blocks are sharded across the pool
+  /// with each result written to its pre-sized slot — bitwise-identical
+  /// to the pool-less run at any thread count. Throws DataError when the
+  /// flattened extents disagree.
   void predict_batch(std::span<const double> queries, std::size_t query_count,
                      std::span<double> out,
                      util::ThreadPool* pool = nullptr) const;
 
-  std::size_t support_vector_count() const noexcept {
-    return support_vectors_.size();
-  }
-  const std::vector<std::vector<double>>& support_vectors() const noexcept {
-    return support_vectors_;
-  }
+  std::size_t support_vector_count() const noexcept { return count_; }
+  /// Feature dimension (0 for a model without support vectors).
+  std::size_t dim() const noexcept { return dim_; }
+  /// Support vector k gathered out of the blocked store (model_io, tests).
+  std::vector<double> support_vector(std::size_t k) const;
+  /// β_k, aligned with support_vector(k).
   const std::vector<double>& coefficients() const noexcept {
     return coefficients_;
   }
   double bias() const noexcept { return bias_; }
   const KernelParams& kernel() const noexcept { return kernel_; }
-  /// The packed inference engine that evaluates this model.
-  const SvrInference& inference() const noexcept { return inference_; }
 
  private:
+  /// Unchecked single-query kernel over the blocked store; the one code
+  /// path every public predict entry point funnels through.
+  double predict_one(const double* x) const noexcept;
+
   KernelParams kernel_;
-  std::vector<std::vector<double>> support_vectors_;
-  std::vector<double> coefficients_;  ///< β_k, aligned with support_vectors_
+  /// The support vectors: for each 128-SV block, dim x 128 in
+  /// feature-major order, zero-padded to a full block, so the SV-indexed
+  /// inner loop of the GEMV has unit stride.
+  std::vector<double> packed_t_;
+  std::vector<double> sq_norms_;      ///< |s_k|^2 per SV, zero-padded (RBF)
+  std::vector<double> coefficients_;  ///< β_k, ascending k
   double bias_ = 0.0;
-  SvrInference inference_;  ///< packed evaluator; built last from the above
+  std::size_t dim_ = 0;
+  std::size_t count_ = 0;
 };
 
 }  // namespace vmtherm::ml

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 
+#include "ml/svr.h"
 #include "obs/trace.h"
 #include "util/thread_pool.h"
 
@@ -70,29 +71,27 @@ inline double exp_det_core(double x) noexcept {
 
 double exp_det(double x) noexcept { return exp_det_core(x); }
 
-SvrInference::SvrInference(
-    KernelParams kernel,
-    const std::vector<std::vector<double>>& support_vectors,
-    std::vector<double> coefficients, double bias)
+// The constructor packs in this TU so the squared norms are computed
+// under the same compile flags as the kernel that consumes them.
+SvrModel::SvrModel(KernelParams kernel,
+                   const std::vector<std::vector<double>>& support_vectors,
+                   std::vector<double> coefficients, double bias)
     : kernel_(kernel), coefficients_(std::move(coefficients)), bias_(bias) {
   kernel_.validate();
   detail::require(support_vectors.size() == coefficients_.size(),
-                  "svr inference: sv/coef count mismatch");
+                  "svr model: sv/coef count mismatch");
   count_ = support_vectors.size();
   dim_ = count_ == 0 ? 0 : support_vectors.front().size();
   const std::size_t padded =
       (count_ + kSvBlock - 1) / kSvBlock * kSvBlock;
-  packed_.reserve(count_ * dim_);
   sq_norms_.assign(padded, 0.0);
   packed_t_.assign(padded * dim_, 0.0);
   for (std::size_t k = 0; k < count_; ++k) {
     const std::vector<double>& sv = support_vectors[k];
-    detail::require(sv.size() == dim_,
-                    "svr inference: inconsistent sv dimensions");
+    detail::require(sv.size() == dim_, "svr model: inconsistent sv dimensions");
     double norm = 0.0;
     for (const double v : sv) norm += v * v;
     sq_norms_[k] = norm;
-    packed_.insert(packed_.end(), sv.begin(), sv.end());
     // Blocked transpose: element j of SV k lands in block k/128 at
     // feature-major offset j*128 + (k mod 128).
     double* block = packed_t_.data() + (k / kSvBlock) * kSvBlock * dim_;
@@ -102,7 +101,17 @@ SvrInference::SvrInference(
   }
 }
 
-double SvrInference::predict_one(const double* x) const noexcept {
+std::vector<double> SvrModel::support_vector(std::size_t k) const {
+  detail::require(k < count_, "svr model: support vector index out of range");
+  const double* block = packed_t_.data() + (k / kSvBlock) * kSvBlock * dim_;
+  std::vector<double> row(dim_);
+  for (std::size_t j = 0; j < dim_; ++j) {
+    row[j] = block[j * kSvBlock + (k % kSvBlock)];
+  }
+  return row;
+}
+
+double SvrModel::predict_one(const double* x) const noexcept {
   const double gamma = kernel_.gamma;
   const double coef0 = kernel_.coef0;
   const int degree = kernel_.degree;
@@ -163,17 +172,33 @@ double SvrInference::predict_one(const double* x) const noexcept {
   return acc;
 }
 
-double SvrInference::predict(std::span<const double> x) const {
+double SvrModel::predict(std::span<const double> x) const {
   if (count_ != 0) {
     detail::require_data(x.size() == dim_, "svr predict dimension mismatch");
   }
   return predict_one(x.data());
 }
 
-void SvrInference::predict_batch(std::span<const double> queries,
-                                 std::size_t query_count,
-                                 std::span<double> out,
-                                 util::ThreadPool* pool) const {
+std::vector<double> SvrModel::predict(const Dataset& data,
+                                      util::ThreadPool* pool) const {
+  std::vector<double> out(data.size());
+  if (count_ == 0) {
+    std::fill(out.begin(), out.end(), bias_);
+    return out;
+  }
+  std::vector<double> flat;
+  flat.reserve(data.size() * dim_);
+  for (const auto& s : data.samples()) {
+    detail::require_data(s.x.size() == dim_, "svr predict dimension mismatch");
+    flat.insert(flat.end(), s.x.begin(), s.x.end());
+  }
+  predict_batch(flat, data.size(), out, pool);
+  return out;
+}
+
+void SvrModel::predict_batch(std::span<const double> queries,
+                             std::size_t query_count, std::span<double> out,
+                             util::ThreadPool* pool) const {
   VMTHERM_SPAN_ARG("ml.predict_batch", "ml", "queries", query_count);
   detail::require_data(out.size() == query_count,
                        "svr predict_batch output size mismatch");

@@ -1,23 +1,15 @@
 // vmtherm/ml/svr_inference.h
 //
-// Batched, vectorized SVR inference engine — the serve-side hot path of the
-// paper's stable-temperature predictor (Eq. 1 / Fig. 1a).
+// Batched, vectorized SVR inference — the serve-side hot path of the
+// paper's stable-temperature predictor (Eq. 1 / Fig. 1a). The kernel lives
+// in svr_inference.cpp and evaluates ml::SvrModel (svr.h) straight from its
+// one support-vector store, a blocked transpose (feature-major within each
+// 128-SV block) with per-SV squared norms precomputed, so an RBF query
+// reduces to a unit-stride, auto-vectorized GEMV followed by a fused
+// kernel-transform/coefficient-reduction pass. No ragged
+// vector<vector<double>> pointer chasing, no per-query allocation.
 //
-// At construction the support vectors are packed into ONE contiguous
-// row-major matrix (n_sv x dim) with per-SV squared norms precomputed, so
-// an RBF evaluation becomes
-//
-//   K(x, s_k) = exp(-gamma * (|x|^2 + |s_k|^2 - 2 x.s_k))
-//
-// and a whole query reduces to a blocked GEMV-style dot-product pass over
-// the packed matrix followed by a fused kernel-transform/coefficient-
-// reduction pass. The compute kernel streams a second, blocked-transposed
-// copy of the matrix (feature-major within each 128-SV block) so the dot
-// products accumulate with unit stride across support vectors — the inner
-// loop auto-vectorizes. No ragged vector<vector<double>> pointer chasing,
-// no per-query allocation.
-//
-// Determinism contract (matches the PR 1 thread-pool contract): every
+// Determinism contract (matches the util::ThreadPool contract): every
 // query is evaluated by exactly the same instruction sequence — same SV
 // blocking, same fixed ascending-k reduction order, same exp_det
 // polynomial — whether it arrives through predict(), predict_batch() on
@@ -26,19 +18,9 @@
 // thread count. (They are NOT bitwise-identical to a naive
 // kernel_eval-summation for the RBF kernel, whose squared-distance
 // summation order and libm exp differ; the equivalence is within a few
-// ulps and the inference engine itself is the reference.)
+// ulps and the inference kernel itself is the reference.)
 
 #pragma once
-
-#include <cstddef>
-#include <span>
-#include <vector>
-
-#include "ml/kernel.h"
-
-namespace vmtherm::util {
-class ThreadPool;
-}
 
 namespace vmtherm::ml {
 
@@ -48,64 +30,5 @@ namespace vmtherm::ml {
 /// bits for identical inputs on every code path — the property the
 /// bitwise-determinism contract of predict_batch is built on.
 double exp_det(double x) noexcept;
-
-/// Packed SVR decision function f(x) = sum_k beta_k K(s_k, x) + b.
-/// Immutable after construction; safe to share across threads.
-class SvrInference {
- public:
-  /// Empty model: zero support vectors, f(x) = 0.
-  SvrInference() = default;
-
-  /// Packs ragged support vectors (all rows must share one dimension;
-  /// throws ConfigError otherwise, or on a sv/coef count mismatch).
-  SvrInference(KernelParams kernel,
-               const std::vector<std::vector<double>>& support_vectors,
-               std::vector<double> coefficients, double bias);
-
-  /// Single-query prediction. Throws DataError on dimension mismatch
-  /// (empty models accept any dimension and return the bias).
-  double predict(std::span<const double> x) const;
-
-  /// Batched prediction over `query_count` queries packed row-major into
-  /// `queries` (query_count x dim). Results land in `out` in query order.
-  /// When `pool` is non-null, query blocks are sharded across the pool
-  /// with each result written to its pre-sized slot — bitwise-identical
-  /// to the pool-less run at any thread count. Throws DataError when the
-  /// flattened extents disagree.
-  void predict_batch(std::span<const double> queries, std::size_t query_count,
-                     std::span<double> out,
-                     util::ThreadPool* pool = nullptr) const;
-
-  std::size_t support_vector_count() const noexcept { return count_; }
-  std::size_t dim() const noexcept { return dim_; }
-  double bias() const noexcept { return bias_; }
-  const KernelParams& kernel() const noexcept { return kernel_; }
-  const std::vector<double>& coefficients() const noexcept {
-    return coefficients_;
-  }
-  /// The packed row-major n_sv x dim support-vector matrix.
-  std::span<const double> packed() const noexcept { return packed_; }
-  /// Row view of one support vector.
-  std::span<const double> support_vector(std::size_t k) const noexcept {
-    return std::span<const double>(packed_.data() + k * dim_, dim_);
-  }
-
- private:
-  /// Unchecked single-query kernel over the packed matrix; the one code
-  /// path every public entry point funnels through.
-  double predict_one(const double* x) const noexcept;
-
-  KernelParams kernel_;
-  std::vector<double> packed_;    ///< n_sv x dim, row-major (API view)
-  /// Blocked transpose of packed_: for each 128-SV block, dim x 128 in
-  /// feature-major order, zero-padded to a full block. The GEMV kernel
-  /// reads this copy so the SV-indexed inner loop has unit stride.
-  std::vector<double> packed_t_;
-  std::vector<double> sq_norms_;  ///< |s_k|^2 per SV, zero-padded (RBF)
-  std::vector<double> coefficients_;  ///< beta_k, ascending k
-  double bias_ = 0.0;
-  std::size_t dim_ = 0;
-  std::size_t count_ = 0;
-};
 
 }  // namespace vmtherm::ml

@@ -72,7 +72,6 @@ std::uint32_t Shard::admit(std::string host_id, mgmt::MonitoredConfig config,
                  true};
   init(host);
   hosts_.push_back(std::move(host));
-  ++live_count_;
   return static_cast<std::uint32_t>(hosts_.size() - 1);
 }
 
@@ -81,13 +80,7 @@ std::string Shard::remove_host(std::uint32_t slot) {
   detail::require(slot < hosts_.size() && hosts_[slot].live,
                   "shard slot is not live");
   hosts_[slot].live = false;
-  --live_count_;
   return hosts_[slot].host_id;
-}
-
-std::size_t Shard::live_host_count() const {
-  std::lock_guard<std::mutex> lock(state_mutex_);
-  return live_count_;
 }
 
 void Shard::enqueue_run(Run&& run, util::ThreadPool* pool) {

@@ -95,8 +95,6 @@ class Shard {
   /// it count as apply errors.
   std::string remove_host(std::uint32_t slot);
 
-  std::size_t live_host_count() const;
-
   // --- data plane ---------------------------------------------------------
 
   /// Enqueues one event run (order-preserving, O(1) in the run size once
@@ -167,12 +165,11 @@ class Shard {
   const FleetEngineOptions* options_;
   ShardMetrics metrics_;
 
-  /// guards: hosts_/live_count_/psi_cache_/psi_scratch_ — held per drain
+  /// guards: hosts_/psi_cache_/psi_scratch_ — held per drain
   /// chunk by the drainer, briefly by synchronous readers (forecast,
   /// snapshot).
   mutable std::mutex state_mutex_;
   std::vector<HostState> hosts_;  ///< indexed by slot; tombstoned when !live
-  std::size_t live_count_ = 0;
   PsiStableCache psi_cache_;            ///< running condition -> ψ_stable
   core::StablePredictScratch psi_scratch_;  ///< reused featurization buffers
 

@@ -114,14 +114,6 @@ void MultiCorePhysicalMachine::add_vm(Vm vm, std::vector<int> pinned_cores) {
   vms_.push_back(PinnedVm{std::move(vm), std::move(pinned_cores)});
 }
 
-void MultiCorePhysicalMachine::add_vm_round_robin(Vm vm, int first_core) {
-  std::vector<int> pins;
-  for (int v = 0; v < vm.config().vcpus; ++v) {
-    pins.push_back((first_core + v) % spec_.physical_cores);
-  }
-  add_vm(std::move(vm), std::move(pins));
-}
-
 const std::vector<double>& MultiCorePhysicalMachine::step(double dt,
                                                           double ambient_c) {
   detail::require(dt > 0.0, "multicore: step dt must be positive");

@@ -84,9 +84,6 @@ class MultiCorePhysicalMachine {
   /// ConfigError on out-of-range cores or mismatched pin counts.
   void add_vm(Vm vm, std::vector<int> pinned_cores);
 
-  /// Round-robin convenience pinning starting at `first_core`.
-  void add_vm_round_robin(Vm vm, int first_core);
-
   /// Advances dt seconds; returns per-core utilization for inspection.
   const std::vector<double>& step(double dt, double ambient_c);
 

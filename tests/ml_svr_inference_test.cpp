@@ -1,8 +1,8 @@
-// Equivalence suite for the packed SVR inference engine (svr_inference.h):
-// the engine's own single-query predict() is the scalar reference, and the
-// batched / thread-pool / persisted paths must match it BITWISE across all
-// four kernels. The pre-engine kernel_eval summation is checked to
-// tolerance (its RBF op order and libm exp differ by design).
+// Equivalence suite for SvrModel's packed inference kernel
+// (svr_inference.h): the model's own single-query predict() is the scalar
+// reference, and the batched / thread-pool / persisted paths must match it
+// BITWISE across all four kernels. The pre-packing kernel_eval summation is
+// checked to tolerance (its RBF op order and libm exp differ by design).
 
 #include <bit>
 #include <cmath>
@@ -15,6 +15,7 @@
 
 #include "ml/model_io.h"
 #include "ml/svr.h"
+#include "ml/svr_inference.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -117,9 +118,9 @@ TEST_P(SvrInferenceKernelTest, MatchesKernelEvalReferenceToTolerance) {
 }
 
 TEST_P(SvrInferenceKernelTest, SurvivesSaveLoadBitwise) {
-  // Snapshot/restore of the packed model: serialization goes through the
-  // packed accessors and text round-trips doubles at 17 significant
-  // digits, so the rebuilt engine must predict identical bits.
+  // Snapshot/restore of the packed model: serialization gathers rows out
+  // of the blocked store and text round-trips doubles at 17 significant
+  // digits, so the rebuilt model must predict identical bits.
   const RaggedModel m = random_model(130, 5, 41);
   const ml::SvrModel model(make_kernel(GetParam()), m.svs, m.coefs, m.bias);
 
@@ -146,12 +147,11 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(SvrInference, EmptyModelReturnsBiasForEveryQuery) {
-  const ml::SvrInference empty;
+  const ml::SvrModel empty(make_kernel(ml::KernelKind::kRbf), {}, {}, 0.0);
   EXPECT_EQ(empty.support_vector_count(), 0u);
   EXPECT_EQ(empty.predict(std::span<const double>()), 0.0);
 
-  const ml::SvrInference biased(make_kernel(ml::KernelKind::kRbf), {}, {},
-                                2.5);
+  const ml::SvrModel biased(make_kernel(ml::KernelKind::kRbf), {}, {}, 2.5);
   // An empty model accepts any query dimension.
   const std::vector<double> x{1.0, 2.0, 3.0};
   EXPECT_EQ(biased.predict(x), 2.5);
@@ -166,47 +166,56 @@ TEST(SvrInference, OneSupportVectorMatchesDirectEvaluation) {
   for (const auto kind :
        {ml::KernelKind::kLinear, ml::KernelKind::kPolynomial,
         ml::KernelKind::kRbf, ml::KernelKind::kSigmoid}) {
-    const ml::SvrInference inference(make_kernel(kind), svs, coefs, -0.5);
+    const ml::SvrModel model(make_kernel(kind), svs, coefs, -0.5);
     const std::vector<double> x{0.25, 0.75, -0.5};
     const double reference =
         -0.5 + 1.5 * ml::kernel_eval(make_kernel(kind), svs[0], x);
-    EXPECT_NEAR(inference.predict(x), reference, 1e-12)
+    EXPECT_NEAR(model.predict(x), reference, 1e-12)
         << ml::kernel_kind_name(kind);
     // The batch path funnels through the same kernel.
     std::vector<double> out(1);
-    inference.predict_batch(x, 1, out);
-    EXPECT_EQ(bits_of(out[0]), bits_of(inference.predict(x)));
+    model.predict_batch(x, 1, out);
+    EXPECT_EQ(bits_of(out[0]), bits_of(model.predict(x)));
   }
 }
 
 TEST(SvrInference, PackedLayoutExposesSupportVectorRows) {
-  const RaggedModel m = random_model(10, 4, 51);
-  const ml::SvrInference inference(make_kernel(ml::KernelKind::kRbf), m.svs,
-                                   m.coefs, m.bias);
-  ASSERT_EQ(inference.support_vector_count(), 10u);
-  ASSERT_EQ(inference.dim(), 4u);
-  ASSERT_EQ(inference.packed().size(), 40u);
-  for (std::size_t k = 0; k < 10; ++k) {
-    const std::span<const double> row = inference.support_vector(k);
-    ASSERT_EQ(row.size(), 4u);
-    for (std::size_t j = 0; j < 4; ++j) EXPECT_EQ(row[j], m.svs[k][j]);
+  // Counts on both sides of the 128-SV block boundary: a lone SV, one
+  // short of a block, exactly one block, one past it, and a third block
+  // holding a single SV.
+  for (const std::size_t count : {10u, 1u, 127u, 128u, 129u, 257u}) {
+    SCOPED_TRACE(count);
+    const RaggedModel m = random_model(count, 4, 51);
+    const ml::SvrModel model(make_kernel(ml::KernelKind::kRbf), m.svs,
+                             m.coefs, m.bias);
+    ASSERT_EQ(model.support_vector_count(), count);
+    ASSERT_EQ(model.dim(), 4u);
+    ASSERT_EQ(model.coefficients(), m.coefs);
+    for (std::size_t k = 0; k < count; ++k) {
+      const std::vector<double> row = model.support_vector(k);
+      ASSERT_EQ(row.size(), 4u);
+      for (std::size_t j = 0; j < 4; ++j) {
+        ASSERT_EQ(bits_of(row[j]), bits_of(m.svs[k][j]))
+            << "sv " << k << " feature " << j;
+      }
+    }
   }
 }
 
 TEST(SvrInference, RejectsMalformedConstructionAndQueries) {
   const ml::KernelParams kernel = make_kernel(ml::KernelKind::kRbf);
-  EXPECT_THROW(ml::SvrInference(kernel, {{1.0, 2.0}}, {0.5, 0.5}, 0.0),
+  EXPECT_THROW(ml::SvrModel(kernel, {{1.0, 2.0}}, {0.5, 0.5}, 0.0),
                ConfigError);  // sv/coef count mismatch
-  EXPECT_THROW(ml::SvrInference(kernel, {{1.0, 2.0}, {1.0}}, {0.5, 0.5}, 0.0),
+  EXPECT_THROW(ml::SvrModel(kernel, {{1.0, 2.0}, {1.0}}, {0.5, 0.5}, 0.0),
                ConfigError);  // ragged dimensions
 
-  const ml::SvrInference inference(kernel, {{1.0, 2.0}}, {0.5}, 0.0);
+  const ml::SvrModel model(kernel, {{1.0, 2.0}}, {0.5}, 0.0);
   const std::vector<double> wrong{1.0, 2.0, 3.0};
-  EXPECT_THROW(inference.predict(wrong), DataError);
+  EXPECT_THROW(model.predict(wrong), DataError);
   std::vector<double> out(2);
-  EXPECT_THROW(inference.predict_batch(wrong, 2, out), DataError);
+  EXPECT_THROW(model.predict_batch(wrong, 2, out), DataError);
   std::vector<double> short_out(1);
-  EXPECT_THROW(inference.predict_batch(wrong, 2, short_out), DataError);
+  EXPECT_THROW(model.predict_batch(wrong, 2, short_out), DataError);
 }
 
 TEST(ExpDet, TracksLibmExpToTwoUlps) {
@@ -258,7 +267,7 @@ TEST(SvrModel, DatasetPredictRoutesThroughBatchBitwise) {
   }
   const std::vector<double> via_dataset = model.predict(data);
   util::ThreadPool pool(3);
-  const std::vector<double> via_pool = model.predict_batch(data, &pool);
+  const std::vector<double> via_pool = model.predict(data, &pool);
   ASSERT_EQ(via_dataset.size(), 50u);
   for (std::size_t i = 0; i < 50; ++i) {
     const double single = model.predict(data.samples()[i].x);

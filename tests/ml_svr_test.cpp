@@ -256,8 +256,12 @@ TEST(SvrTest, ModelReconstructionPredictsIdentically) {
   SvrParams params;
   params.kernel.gamma = 2.0;
   const auto model = SvrModel::train(data, params);
-  const SvrModel rebuilt(model.kernel(), model.support_vectors(),
-                         model.coefficients(), model.bias());
+  std::vector<std::vector<double>> svs;
+  for (std::size_t k = 0; k < model.support_vector_count(); ++k) {
+    svs.push_back(model.support_vector(k));
+  }
+  const SvrModel rebuilt(model.kernel(), svs, model.coefficients(),
+                         model.bias());
   for (double x = -1.0; x <= 1.0; x += 0.2) {
     EXPECT_DOUBLE_EQ(rebuilt.predict(std::vector<double>{x}),
                      model.predict(std::vector<double>{x}));

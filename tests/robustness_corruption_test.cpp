@@ -239,6 +239,18 @@ TEST(ModelIoCorruptionTest, CorruptedSvrFilesFailCleanly) {
        [](const std::string& s) {
          return replace_first(s, "nsv 2", "nsv 4096");
        }},
+      // The largest accepted count over a two-row body: storage must grow
+      // with the rows actually parsed, not with the header's promise.
+      {"max-nsv-short-body",
+       [](const std::string& s) {
+         return replace_first(s, "nsv 2", "nsv 16777216");
+       }},
+      // nsv * dim = 2^40 doubles: any up-front reservation of the flat
+      // store would throw bad_alloc even without a memory limit.
+      {"max-dim-and-nsv-short-body",
+       [](const std::string& s) {
+         return replace_first(s, "dim 2 nsv 2", "dim 65536 nsv 16777216");
+       }},
   };
 
   const std::string good = good_svr_text();
@@ -247,7 +259,7 @@ TEST(ModelIoCorruptionTest, CorruptedSvrFilesFailCleanly) {
     const std::string bad = corruption.mutate(good);
     ASSERT_NE(bad, good) << "corruption was a no-op";
     std::istringstream in(bad);
-    EXPECT_THROW(ml::load_svr(in), Error);
+    EXPECT_THROW(ml::load_svr(in), IoError);
   }
 }
 
