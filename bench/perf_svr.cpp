@@ -1,12 +1,13 @@
-// Microbenchmarks of the ML substrate (google-benchmark): SMO training,
-// prediction throughput, kernel evaluation and grid-search cost. These
-// bound the offline training and online serving cost of the paper's
-// pipeline.
+// Microbenchmarks of the ML substrate (google-benchmark): SMO training
+// (cold and along a warm C path), prediction throughput, kernel evaluation
+// and grid-search cost. These bound the offline training and online
+// serving cost of the paper's pipeline.
 
 #include <benchmark/benchmark.h>
 
 #include <cmath>
 #include <string>
+#include <vector>
 
 #include "ml/forest.h"
 #include "ml/grid.h"
@@ -178,6 +179,38 @@ void BM_GridSearchPaperScale(benchmark::State& state) {
 }
 BENCHMARK(BM_GridSearchPaperScale)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
+
+void BM_SvrTrainCPath(benchmark::State& state) {
+  // One grid chain: the default 7-value C list solved cold (7 independent
+  // train() calls, Arg 0) or as one warm-started train_c_path (Arg 1) on a
+  // 180-sample set, the training split of a 200-record window under
+  // 10-fold CV. The smo_iterations counter is the chain's total.
+  const auto data = synthetic_data(180, 16, 12);
+  const auto params = rbf_params();
+  const std::vector<double> c_values = ml::GridSpec{}.c_values;
+  const bool warm = state.range(0) == 1;
+  std::size_t iterations = 0;
+  for (auto _ : state) {
+    iterations = 0;
+    if (warm) {
+      std::vector<ml::SvrTrainReport> reports;
+      benchmark::DoNotOptimize(
+          ml::SvrModel::train_c_path(data, params, c_values, &reports));
+      for (const auto& r : reports) iterations += r.iterations;
+    } else {
+      for (const double c : c_values) {
+        auto cold = params;
+        cold.c = c;
+        ml::SvrTrainReport report;
+        benchmark::DoNotOptimize(ml::SvrModel::train(data, cold, &report));
+        iterations += report.iterations;
+      }
+    }
+  }
+  state.counters["smo_iterations"] = static_cast<double>(iterations);
+  state.SetLabel(warm ? "warm C path" : "7 cold fits");
+}
+BENCHMARK(BM_SvrTrainCPath)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_SvrTrainCacheConstrained(benchmark::State& state) {
   // Cache thrashing cost: tiny kernel cache vs roomy one.

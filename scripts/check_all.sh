@@ -4,9 +4,10 @@
 #   release — Release build (-DVMTHERM_WERROR=ON), full ctest suite
 #   lint    — vmtherm-lint over the whole tree (also a ctest in `release`,
 #             run standalone here so its diagnostics reach the console)
-#   asan    — scripts/check_asan.sh  (concurrency + robustness suites)
+#   asan    — scripts/check_asan.sh  (concurrency + robustness + solver
+#             suites)
 #   tsan    — scripts/check_tsan.sh  (concurrency suites)
-#   ubsan   — scripts/check_ubsan.sh (concurrency + robustness suites,
+#   ubsan   — scripts/check_ubsan.sh (concurrency + robustness + solver suites,
 #             portable inference TU: -DVMTHERM_INFERENCE_NATIVE=OFF)
 #   perfbench — perfbench/smoke.py (clean build of the benchmark program
 #             against src/, tiny traced and untraced runs of every workload)

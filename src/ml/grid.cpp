@@ -1,5 +1,6 @@
 #include "ml/grid.h"
 
+#include <algorithm>
 #include <limits>
 #include <optional>
 
@@ -23,8 +24,7 @@ GridSearchResult grid_search_svr(const Dataset& data, const GridSpec& spec,
   const auto folds = make_folds(data.size(), spec.folds, fold_rng);
 
   // Materialize each fold's train/validation datasets once for the whole
-  // search instead of once per grid point (folds x |C|*|gamma|*|epsilon|
-  // copies otherwise).
+  // search; every chain on that fold reads them.
   struct FoldData {
     Dataset train;
     Dataset validation;
@@ -36,44 +36,51 @@ GridSearchResult grid_search_svr(const Dataset& data, const GridSpec& spec,
                                  data.subset(f.validation)});
   }
 
-  // Canonical grid order: C outer, gamma middle, epsilon inner.
-  std::vector<SvrParams> points;
-  points.reserve(spec.c_values.size() * spec.gamma_values.size() *
-                 spec.epsilon_values.size());
-  for (double c : spec.c_values) {
-    for (double gamma : spec.gamma_values) {
-      for (double eps : spec.epsilon_values) {
-        SvrParams params;
-        params.kernel.kind = spec.kernel;
-        params.kernel.gamma = gamma;
-        params.c = c;
-        params.epsilon = eps;
-        points.push_back(params);
-      }
-    }
-  }
+  // Each (gamma, epsilon, fold) chain solves the distinct C values in
+  // ascending order on one warm-started solver; a grid point's C maps to
+  // its position on that path.
+  std::vector<double> path = spec.c_values;
+  std::sort(path.begin(), path.end());
+  path.erase(std::unique(path.begin(), path.end()), path.end());
+  const std::size_t n_gamma = spec.gamma_values.size();
+  const std::size_t n_eps = spec.epsilon_values.size();
+  const std::size_t n_folds = fold_data.size();
+  const std::size_t n_chains = n_gamma * n_eps * n_folds;
 
-  GridSearchResult result;
-  result.evaluated.resize(points.size());
+  // Validation squared error per (path C, gamma, epsilon, fold), each slot
+  // written by exactly one chain.
+  std::vector<double> fold_squared_error(path.size() * n_chains, 0.0);
+  const auto slot = [&](std::size_t m, std::size_t chain) {
+    return m * n_chains + chain;
+  };
+  const auto point_params = [&](double c, std::size_t g, std::size_t e) {
+    SvrParams params;
+    params.kernel.kind = spec.kernel;
+    params.kernel.gamma = spec.gamma_values[g];
+    params.c = c;
+    params.epsilon = spec.epsilon_values[e];
+    return params;
+  };
 
-  // Each grid point is evaluated by exactly one thread, with a fully
-  // serial fold loop, into its own slot — so every cv_mse is bitwise
-  // independent of the schedule.
-  const auto evaluate_point = [&](std::size_t idx) {
+  // chain = (gamma * |epsilon| + epsilon) * folds + fold. Each chain runs
+  // serially on one thread, so every slot is bitwise independent of the
+  // schedule.
+  const auto evaluate_chain = [&](std::size_t chain) {
     VMTHERM_SPAN("ml.grid_point", "ml");
-    const SvrParams& params = points[idx];
-    double squared_error = 0.0;
-    std::size_t count = 0;
-    for (const auto& fd : fold_data) {
-      const SvrModel model = SvrModel::train(fd.train, params);
+    const std::size_t f = chain % n_folds;
+    const std::size_t e = (chain / n_folds) % n_eps;
+    const std::size_t g = chain / (n_folds * n_eps);
+    const FoldData& fd = fold_data[f];
+    const std::vector<SvrModel> models =
+        SvrModel::train_c_path(fd.train, point_params(path[0], g, e), path);
+    for (std::size_t m = 0; m < models.size(); ++m) {
+      double squared_error = 0.0;
       for (const auto& s : fd.validation.samples()) {
-        const double e = model.predict(s.x) - s.y;
-        squared_error += e * e;
+        const double err = models[m].predict(s.x) - s.y;
+        squared_error += err * err;
       }
-      count += fd.validation.size();
+      fold_squared_error[slot(m, chain)] = squared_error;
     }
-    result.evaluated[idx] =
-        GridPoint{params, squared_error / static_cast<double>(count)};
   };
 
   std::optional<util::ThreadPool> local_pool;
@@ -87,9 +94,33 @@ GridSearchResult grid_search_svr(const Dataset& data, const GridSpec& spec,
     }
   }
   if (pool != nullptr) {
-    pool->parallel_for(0, points.size(), evaluate_point);
+    pool->parallel_for(0, n_chains, evaluate_chain);
   } else {
-    for (std::size_t idx = 0; idx < points.size(); ++idx) evaluate_point(idx);
+    for (std::size_t chain = 0; chain < n_chains; ++chain) {
+      evaluate_chain(chain);
+    }
+  }
+
+  // Canonical grid order: C outer, gamma middle, epsilon inner; each
+  // point's folds are reduced in fold order. Every sample validates in
+  // exactly one fold.
+  GridSearchResult result;
+  result.evaluated.reserve(spec.c_values.size() * n_gamma * n_eps);
+  for (const double c : spec.c_values) {
+    const auto m = static_cast<std::size_t>(
+        std::lower_bound(path.begin(), path.end(), c) - path.begin());
+    for (std::size_t g = 0; g < n_gamma; ++g) {
+      for (std::size_t e = 0; e < n_eps; ++e) {
+        double squared_error = 0.0;
+        for (std::size_t f = 0; f < n_folds; ++f) {
+          squared_error +=
+              fold_squared_error[slot(m, (g * n_eps + e) * n_folds + f)];
+        }
+        result.evaluated.push_back(GridPoint{
+            point_params(c, g, e),
+            squared_error / static_cast<double>(data.size())});
+      }
+    }
   }
 
   // Explicit tie-breaking: strict < over a scan in grid order means the

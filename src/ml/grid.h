@@ -34,6 +34,9 @@ struct GridSpec {
 
   void validate() const {
     detail::require(!c_values.empty(), "grid needs C values");
+    for (const double c : c_values) {
+      detail::require(c > 0.0, "grid C values must be positive");
+    }
     detail::require(!gamma_values.empty(), "grid needs gamma values");
     detail::require(!epsilon_values.empty(), "grid needs epsilon values");
     detail::require(folds >= 2, "grid needs >= 2 folds");
@@ -54,19 +57,27 @@ struct GridSearchResult {
   std::vector<GridPoint> evaluated;
 };
 
-/// Exhaustive search: trains folds x |C| x |gamma| x |epsilon| SVRs on
-/// `data` (which should already be scaled) and returns the point with the
-/// lowest cross-validated MSE. Fold assignment is seeded by `spec.seed`
-/// and shared across grid points so comparisons are paired.
+/// Exhaustive search: scores every (C, gamma, epsilon) point of the grid
+/// by k-fold CV on `data` (which should already be scaled) and returns the
+/// point with the lowest cross-validated MSE. Fold assignment is seeded by
+/// `spec.seed` and shared across grid points so comparisons are paired.
 ///
-/// Deterministic regardless of thread count: `evaluated` is always in
-/// canonical grid order (C outer, gamma middle, epsilon inner), each grid
-/// point's CV evaluation is fully serial and independent, and equal-MSE
-/// ties break explicitly toward the lowest grid index — never toward
-/// whichever evaluation happened to finish first. Serial and parallel runs
-/// therefore return bitwise-identical results.
+/// The work unit is a chain: for one (gamma, epsilon, fold), the distinct
+/// C values are solved in ascending order by SvrModel::train_c_path, each
+/// warm-started from the previous optimum — |gamma| x |epsilon| x folds
+/// chains in all. A chain's cv_mse therefore matches a cold fit at the
+/// same point only within the SMO tolerance. C values may be given in any
+/// order and may repeat; a repeated C reads the same chain result.
 ///
-/// Concurrency: with `pool` non-null the grid points are evaluated on that
+/// Deterministic regardless of thread count: each chain runs serially on
+/// one thread into its own per-(C, fold) slots, each point's folds are
+/// reduced in fold order, `evaluated` is always in canonical grid order
+/// (C outer in the spec's order, gamma middle, epsilon inner), and
+/// equal-MSE ties break explicitly toward the lowest grid index — never
+/// toward whichever evaluation happened to finish first. Serial and
+/// parallel runs therefore return bitwise-identical results.
+///
+/// Concurrency: with `pool` non-null the chains are evaluated on that
 /// (possibly shared) pool; otherwise a private pool is spun up when
 /// `spec.threads` resolves to more than one thread.
 GridSearchResult grid_search_svr(const Dataset& data, const GridSpec& spec,

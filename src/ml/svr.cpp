@@ -4,7 +4,9 @@
 #include <cmath>
 #include <limits>
 #include <list>
+#include <tuple>
 #include <unordered_map>
+#include <utility>
 
 namespace vmtherm::ml {
 
@@ -25,8 +27,11 @@ class KernelRowCache {
                                     std::max(1.0, bytes_per_row)));
   }
 
-  /// Returns K(i, t) for all base t; the reference is valid until the next
-  /// call to row().
+  /// Returns K(i, t) for all base t. The returned row becomes the
+  /// most-recently-used entry and max_rows_ >= 2, so it stays valid across
+  /// one further row() call (only the least-recently-used row can be
+  /// evicted): the solver relies on this to hold rows i and j at once. A
+  /// second further call may evict it.
   const std::vector<double>& row(std::size_t i) {
     auto it = map_.find(i);
     if (it != map_.end()) {
@@ -64,7 +69,15 @@ class KernelRowCache {
   std::list<std::size_t> lru_;
 };
 
-/// SMO solver state for the 2l-variable SVR dual.
+/// SMO solver state for the 2l-variable SVR dual. Q~(i, t) is never
+/// materialized: it is y_i y_t K(base(i), base(t)) and every y is ±1, so
+/// the loops read the cached length-l kernel rows and apply the signs
+/// explicitly, which is exact in IEEE arithmetic.
+///
+/// Q~ and p do not depend on C, and an α feasible for box C is feasible
+/// for any C' >= C, so successive solve() calls with non-decreasing C
+/// continue from the previous optimum with α, G and the kernel cache
+/// carried over exactly.
 class SvrSolver {
  public:
   SvrSolver(const Dataset& data, const SvrParams& params)
@@ -75,15 +88,18 @@ class SvrSolver {
         cache_(data, params.kernel, params.cache_mb) {
     alpha_.assign(n_, 0.0);
     grad_.resize(n_);
-    qdiag_.resize(n_);
-    for (std::size_t i = 0; i < n_; ++i) {
-      grad_[i] = p(i);  // alpha = 0 -> G = p
-      const auto& xi = data_[base(i)].x;
-      qdiag_[i] = kernel_eval(params_.kernel, xi, xi);  // y_i^2 = 1
+    for (std::size_t i = 0; i < n_; ++i) grad_[i] = p(i);  // α = 0 -> G = p
+    qdiag_.resize(l_);
+    for (std::size_t k = 0; k < l_; ++k) {
+      const auto& xk = data_[k].x;
+      qdiag_[k] = kernel_eval(params_.kernel, xk, xk);  // y^2 = 1
     }
   }
 
-  SvrTrainReport solve() {
+  /// Solves the dual at box constraint `c`, which must be >= the C of
+  /// every earlier call, starting from the current α.
+  SvrTrainReport solve(double c) {
+    c_ = c;
     SvrTrainReport report;
     const std::size_t max_iter =
         params_.max_iterations > 0
@@ -109,7 +125,7 @@ class SvrSolver {
     return report;
   }
 
-  /// β_k = α_k − α_{k+l} after solve().
+  /// β_k = α_k − α_{k+l} of the current solution.
   std::vector<double> betas() const {
     std::vector<double> out(l_);
     for (std::size_t k = 0; k < l_; ++k) out[k] = alpha_[k] - alpha_[k + l_];
@@ -124,18 +140,6 @@ class SvrSolver {
                   : params_.epsilon + data_[i - l_].y;
   }
 
-  /// Q~(i, t) for all t, via one cached kernel row of base(i).
-  /// The returned vector aliases internal scratch; valid until next call.
-  const std::vector<double>& q_row(std::size_t i) {
-    const auto& krow = cache_.row(base(i));
-    qrow_scratch_.resize(n_);
-    const double yi = sign(i);
-    for (std::size_t t = 0; t < n_; ++t) {
-      qrow_scratch_[t] = yi * sign(t) * krow[base(t)];
-    }
-    return qrow_scratch_;
-  }
-
   /// Maximal-violating-pair selection (LIBSVM WSS1).
   /// Returns (i, j, violation).
   std::tuple<std::size_t, std::size_t, double> select_working_set() const {
@@ -145,7 +149,7 @@ class SvrSolver {
     std::size_t j_sel = 0;
     for (std::size_t t = 0; t < n_; ++t) {
       const double y = sign(t);
-      const bool at_upper = alpha_[t] >= params_.c;
+      const bool at_upper = alpha_[t] >= c_;
       const bool at_lower = alpha_[t] <= 0.0;
       // I_up: can increase y*alpha
       if ((y > 0 && !at_upper) || (y < 0 && !at_lower)) {
@@ -169,49 +173,58 @@ class SvrSolver {
 
   /// Second-order selection (LIBSVM WSS2): i is the maximal violator from
   /// I_up; j is the I_low index giving the largest guaranteed decrease of
-  /// the dual objective for the (i, j) subproblem.
+  /// the dual objective for the (i, j) subproblem. Each scan runs over the
+  /// y = +1 half, then the y = -1 half, so ties still go to the lowest
+  /// index.
   std::tuple<std::size_t, std::size_t, double>
   select_working_set_second_order() {
+    const double* alpha = alpha_.data();
+    const double* grad = grad_.data();
+
+    // I_up: α_t < C on the y = +1 half, α_t > 0 on the y = -1 half;
+    // -y_t G_t is -G_t and G_t respectively.
     double gmax = -std::numeric_limits<double>::infinity();
     std::size_t i_sel = 0;
-    for (std::size_t t = 0; t < n_; ++t) {
-      const double y = sign(t);
-      const bool at_upper = alpha_[t] >= params_.c;
-      const bool at_lower = alpha_[t] <= 0.0;
-      if ((y > 0 && !at_upper) || (y < 0 && !at_lower)) {
-        const double v = -y * grad_[t];
-        if (v > gmax) {
-          gmax = v;
-          i_sel = t;
-        }
+    for (std::size_t k = 0; k < l_; ++k) {
+      if (alpha[k] < c_ && -grad[k] > gmax) {
+        gmax = -grad[k];
+        i_sel = k;
+      }
+    }
+    for (std::size_t k = 0; k < l_; ++k) {
+      if (alpha[k + l_] > 0.0 && grad[k + l_] > gmax) {
+        gmax = grad[k + l_];
+        i_sel = k + l_;
       }
     }
     if (!std::isfinite(gmax)) return {0, 0, 0.0};  // I_up empty: optimal
 
-    const std::vector<double>& qi = q_row(i_sel);
-    const double yi = sign(i_sel);
-
+    // Curvature of the (i, t) subproblem: K_ii + K_tt - 2 K_it, whatever
+    // the signs of y_i and y_t.
+    const double* ki = cache_.row(base(i_sel)).data();
+    const double qii = qdiag_[base(i_sel)];
     double gmax2 = -std::numeric_limits<double>::infinity();
     double best_obj = std::numeric_limits<double>::infinity();
     std::size_t j_sel = n_;  // sentinel: no improving j found
-    for (std::size_t t = 0; t < n_; ++t) {
-      const double y = sign(t);
-      const bool at_upper = alpha_[t] >= params_.c;
-      const bool at_lower = alpha_[t] <= 0.0;
-      if (!((y > 0 && !at_lower) || (y < 0 && !at_upper))) continue;  // I_low
-      gmax2 = std::max(gmax2, y * grad_[t]);
-
-      const double grad_diff = gmax + y * grad_[t];
-      if (grad_diff <= 0.0) continue;
-      // Curvature of the (i, t) subproblem: K_ii + K_tt - 2 K_it. qi[t]
-      // carries the y_i y_t sign, which the explicit factor cancels.
-      double a = qdiag_[i_sel] + qdiag_[t] - 2.0 * yi * sign(t) * qi[t];
+    const auto consider = [&](std::size_t t, std::size_t k, double yg) {
+      gmax2 = std::max(gmax2, yg);
+      const double grad_diff = gmax + yg;
+      if (grad_diff <= 0.0) return;
+      double a = qii + qdiag_[k] - 2.0 * ki[k];
       if (a <= 0.0) a = kTau;
       const double obj = -(grad_diff * grad_diff) / a;
       if (obj < best_obj) {
         best_obj = obj;
         j_sel = t;
       }
+    };
+    // I_low: α_t > 0 on the y = +1 half, α_t < C on the y = -1 half;
+    // y_t G_t is G_t and -G_t respectively.
+    for (std::size_t k = 0; k < l_; ++k) {
+      if (alpha[k] > 0.0) consider(k, k, grad[k]);
+    }
+    for (std::size_t k = 0; k < l_; ++k) {
+      if (alpha[k + l_] < c_) consider(k + l_, k, -grad[k + l_]);
     }
     const double violation = gmax + gmax2;
     if (j_sel == n_) {
@@ -223,21 +236,21 @@ class SvrSolver {
   }
 
   void update_pair(std::size_t i, std::size_t j) {
-    const double c = params_.c;
+    const double c = c_;
     const double yi = sign(i);
     const double yj = sign(j);
 
-    // Snapshot Q entries before alpha changes. Copy row i (scratch is
-    // reused by the second q_row call).
-    const std::vector<double> qi = q_row(i);
-    const std::vector<double>& qj = q_row(j);
+    // Row i stays valid across the row(j) call (see KernelRowCache::row).
+    const double* ki = cache_.row(base(i)).data();
+    const double* kj = cache_.row(base(j)).data();
 
     const double old_ai = alpha_[i];
     const double old_aj = alpha_[j];
 
+    // K_ii + K_jj - 2 K_ij for both sign cases: Q~_ij = y_i y_j K_ij.
+    double quad = qdiag_[base(i)] + qdiag_[base(j)] - 2.0 * ki[base(j)];
+    if (quad <= 0.0) quad = kTau;
     if (yi != yj) {
-      double quad = qdiag_[i] + qdiag_[j] + 2.0 * qi[j];
-      if (quad <= 0.0) quad = kTau;
       const double delta = (-grad_[i] - grad_[j]) / quad;
       const double diff = alpha_[i] - alpha_[j];
       alpha_[i] += delta;
@@ -265,8 +278,6 @@ class SvrSolver {
         }
       }
     } else {
-      double quad = qdiag_[i] + qdiag_[j] - 2.0 * qi[j];
-      if (quad <= 0.0) quad = kTau;
       const double delta = (grad_[i] - grad_[j]) / quad;
       const double sum = alpha_[i] + alpha_[j];
       alpha_[i] -= delta;
@@ -298,8 +309,16 @@ class SvrSolver {
     const double dai = alpha_[i] - old_ai;
     const double daj = alpha_[j] - old_aj;
     if (dai == 0.0 && daj == 0.0) return;
-    for (std::size_t t = 0; t < n_; ++t) {
-      grad_[t] += qi[t] * dai + qj[t] * daj;
+    // G_t += Q~_it Δα_i + Q~_jt Δα_j with Q~_it = y_i y_t K_i[base(t)]:
+    // one pass over the base samples updates both halves.
+    const double si = yi * dai;
+    const double sj = yj * daj;
+    double* g_pos = grad_.data();
+    double* g_neg = grad_.data() + l_;
+    for (std::size_t k = 0; k < l_; ++k) {
+      const double d = si * ki[k] + sj * kj[k];
+      g_pos[k] += d;
+      g_neg[k] -= d;
     }
   }
 
@@ -312,7 +331,7 @@ class SvrSolver {
     for (std::size_t t = 0; t < n_; ++t) {
       const double y = sign(t);
       const double yg = y * grad_[t];
-      if (alpha_[t] >= params_.c) {
+      if (alpha_[t] >= c_) {
         if (y < 0) ub = std::min(ub, yg);
         else lb = std::max(lb, yg);
       } else if (alpha_[t] <= 0.0) {
@@ -332,17 +351,36 @@ class SvrSolver {
   std::size_t l_;
   std::size_t n_;
   KernelRowCache cache_;
+  double c_ = 0.0;  ///< box constraint of the current solve()
   std::vector<double> alpha_;
   std::vector<double> grad_;
-  std::vector<double> qdiag_;
-  mutable std::vector<double> qrow_scratch_;
+  std::vector<double> qdiag_;  ///< K(x_k, x_k) per base sample
 };
 
 }  // namespace
 
 SvrModel SvrModel::train(const Dataset& data, const SvrParams& params,
                          SvrTrainReport* report) {
-  params.validate();
+  std::vector<SvrTrainReport> reports;
+  std::vector<SvrModel> models =
+      train_c_path(data, params, std::span<const double>(&params.c, 1),
+                   report != nullptr ? &reports : nullptr);
+  if (report != nullptr) *report = reports.front();
+  return std::move(models.front());
+}
+
+std::vector<SvrModel> SvrModel::train_c_path(
+    const Dataset& data, const SvrParams& params,
+    std::span<const double> c_values,
+    std::vector<SvrTrainReport>* reports) {
+  detail::require(!c_values.empty(), "svr C path needs at least one C");
+  SvrParams checked = params;
+  for (std::size_t m = 0; m < c_values.size(); ++m) {
+    checked.c = c_values[m];
+    checked.validate();
+    detail::require(m == 0 || c_values[m - 1] <= c_values[m],
+                    "svr C path must be non-decreasing");
+  }
   detail::require_data(!data.empty(), "svr training set is empty");
   for (const auto& s : data.samples()) {
     detail::require_data(std::isfinite(s.y), "svr target must be finite");
@@ -352,21 +390,26 @@ SvrModel SvrModel::train(const Dataset& data, const SvrParams& params,
   }
 
   SvrSolver solver(data, params);
-  SvrTrainReport local = solver.solve();
-  const std::vector<double> betas = solver.betas();
+  std::vector<SvrModel> models;
+  models.reserve(c_values.size());
+  if (reports != nullptr) reports->clear();
+  for (const double c : c_values) {
+    SvrTrainReport local = solver.solve(c);
+    const std::vector<double> betas = solver.betas();
 
-  std::vector<std::vector<double>> svs;
-  std::vector<double> coefs;
-  for (std::size_t k = 0; k < data.size(); ++k) {
-    if (betas[k] != 0.0) {
-      svs.push_back(data[k].x);
-      coefs.push_back(betas[k]);
+    std::vector<std::vector<double>> svs;
+    std::vector<double> coefs;
+    for (std::size_t k = 0; k < data.size(); ++k) {
+      if (betas[k] != 0.0) {
+        svs.push_back(data[k].x);
+        coefs.push_back(betas[k]);
+      }
     }
+    local.support_vector_count = svs.size();
+    if (reports != nullptr) reports->push_back(local);
+    models.emplace_back(params.kernel, svs, std::move(coefs), local.bias);
   }
-  local.support_vector_count = svs.size();
-  if (report != nullptr) *report = local;
-
-  return SvrModel(params.kernel, svs, std::move(coefs), local.bias);
+  return models;
 }
 
 }  // namespace vmtherm::ml

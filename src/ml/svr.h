@@ -15,6 +15,19 @@
 // regression coefficients are β_k = α_k - α_{k+l} and the decision function
 // is f(x) = Σ_k β_k K(x_k, x) + b with b = -ρ from the solver's optimality
 // conditions. Deterministic given the dataset order.
+//
+// The solver never builds a Q~ row: each update reads the two cached
+// length-l kernel rows K(x_{i mod l}, ·) and K(x_{j mod l}, ·) directly
+// (the cache keeps the first row alive across the second lookup) and
+// applies the ±1 signs explicitly, which is exact in IEEE arithmetic.
+//
+// Warm C path: Q~ and p do not depend on C, and an α feasible for box C is
+// feasible for any C' >= C. train_c_path() therefore solves a
+// non-decreasing list of C values in one solver, each solve starting from
+// the previous optimum with α, the gradient and the kernel cache carried
+// over exactly. train() is the one-C case (a cold solve from α = 0), so a
+// warm model differs from the cold one at the same C only within the SMO
+// stopping tolerance.
 
 #pragma once
 
@@ -78,6 +91,19 @@ class SvrModel {
   /// the best-so-far model with report->converged = false.
   static SvrModel train(const Dataset& data, const SvrParams& params,
                         SvrTrainReport* report = nullptr);
+
+  /// Trains one model per entry of `c_values` (non-empty, non-decreasing;
+  /// each replaces params.c) along one warm-started solver path: the model
+  /// for c_values[m] is solved starting from the optimum for c_values[m-1].
+  /// Models (and, when `reports` is non-null, one report each, with
+  /// iterations counted per C and max_iterations applied per C) come back
+  /// in c_values order. The first model is bitwise-identical to
+  /// train(data, params with c = c_values[0]). Throws like train(), and
+  /// ConfigError when `c_values` is empty or decreasing.
+  static std::vector<SvrModel> train_c_path(
+      const Dataset& data, const SvrParams& params,
+      std::span<const double> c_values,
+      std::vector<SvrTrainReport>* reports = nullptr);
 
   /// Packs a model from ragged parts (training, model_io) and keeps none
   /// of the ragged input. Throws ConfigError on an invalid kernel, a

@@ -91,6 +91,12 @@ TEST(GridSearchTest, InvalidSpecThrows) {
   spec = small_grid();
   spec.folds = 1;
   EXPECT_THROW((void)grid_search_svr(data, spec), ConfigError);
+  // C values are sorted into chains, so a bad one is rejected up front.
+  for (const double bad_c : {-2.0, 0.0, std::nan("")}) {
+    spec = small_grid();
+    spec.c_values = {1.0, bad_c};
+    EXPECT_THROW((void)grid_search_svr(data, spec), ConfigError);
+  }
 }
 
 void expect_bitwise_equal(const GridSearchResult& a, const GridSearchResult& b) {
@@ -133,44 +139,72 @@ TEST(GridSearchTest, SharedExternalPoolMatchesSerial) {
 }
 
 TEST(GridSearchTest, MatchesPerPointFoldMaterializationReference) {
-  // Regression for the fold-hoisting fix: re-materializing each fold's
-  // train/validation subsets per grid point (the old, redundant code path)
-  // must give the exact same GridSearchResult.
+  // Reference for the chain definition: for each (gamma, epsilon, fold),
+  // re-materialize the fold's subsets and solve the ascending C values on
+  // one warm-started SvrModel::train_c_path; each point's cv_mse is its
+  // per-fold squared errors reduced in fold order. The search must give
+  // the exact same GridSearchResult.
   const auto data = wavy_data(48, 11);
-  const GridSpec spec = small_grid();
+  const GridSpec spec = small_grid();  // c_values already ascending
   const auto result = grid_search_svr(data, spec);
 
   Rng fold_rng(spec.seed);
   const auto folds = make_folds(data.size(), spec.folds, fold_rng);
+  const std::size_t n_c = spec.c_values.size();
+  const std::size_t n_gamma = spec.gamma_values.size();
+  const std::size_t n_eps = spec.epsilon_values.size();
+  // fold_sq[((c * n_gamma + gamma) * n_eps + eps) * folds + fold]
+  std::vector<double> fold_sq(n_c * n_gamma * n_eps * folds.size(), 0.0);
+  for (std::size_t g = 0; g < n_gamma; ++g) {
+    for (std::size_t e = 0; e < n_eps; ++e) {
+      SvrParams params;
+      params.kernel.kind = spec.kernel;
+      params.kernel.gamma = spec.gamma_values[g];
+      params.epsilon = spec.epsilon_values[e];
+      for (std::size_t f = 0; f < folds.size(); ++f) {
+        const Dataset train = data.subset(folds[f].train);
+        const Dataset validation = data.subset(folds[f].validation);
+        const auto models =
+            SvrModel::train_c_path(train, params, spec.c_values);
+        ASSERT_EQ(models.size(), n_c);
+        for (std::size_t m = 0; m < n_c; ++m) {
+          double squared_error = 0.0;
+          for (const auto& s : validation.samples()) {
+            const double err = models[m].predict(s.x) - s.y;
+            squared_error += err * err;
+          }
+          fold_sq[((m * n_gamma + g) * n_eps + e) * folds.size() + f] =
+              squared_error;
+        }
+      }
+    }
+  }
+
   std::size_t idx = 0;
   double best_cv_mse = std::numeric_limits<double>::infinity();
   SvrParams best_params;
-  for (double c : spec.c_values) {
-    for (double gamma : spec.gamma_values) {
-      for (double eps : spec.epsilon_values) {
+  for (std::size_t m = 0; m < n_c; ++m) {
+    for (std::size_t g = 0; g < n_gamma; ++g) {
+      for (std::size_t e = 0; e < n_eps; ++e) {
+        double squared_error = 0.0;
+        for (std::size_t f = 0; f < folds.size(); ++f) {
+          squared_error +=
+              fold_sq[((m * n_gamma + g) * n_eps + e) * folds.size() + f];
+        }
+        const double cv_mse = squared_error / static_cast<double>(data.size());
         SvrParams params;
         params.kernel.kind = spec.kernel;
-        params.kernel.gamma = gamma;
-        params.c = c;
-        params.epsilon = eps;
-        double squared_error = 0.0;
-        std::size_t count = 0;
-        for (const auto& f : folds) {
-          const Dataset train = data.subset(f.train);
-          const Dataset validation = data.subset(f.validation);
-          const SvrModel model = SvrModel::train(train, params);
-          for (const auto& s : validation.samples()) {
-            const double e = model.predict(s.x) - s.y;
-            squared_error += e * e;
-          }
-          count += validation.size();
-        }
-        const double cv_mse = squared_error / static_cast<double>(count);
+        params.kernel.gamma = spec.gamma_values[g];
+        params.c = spec.c_values[m];
+        params.epsilon = spec.epsilon_values[e];
         ASSERT_LT(idx, result.evaluated.size());
         EXPECT_EQ(result.evaluated[idx].cv_mse, cv_mse) << idx;
-        EXPECT_EQ(result.evaluated[idx].params.c, c) << idx;
-        EXPECT_EQ(result.evaluated[idx].params.kernel.gamma, gamma) << idx;
-        EXPECT_EQ(result.evaluated[idx].params.epsilon, eps) << idx;
+        EXPECT_EQ(result.evaluated[idx].params.c, params.c) << idx;
+        EXPECT_EQ(result.evaluated[idx].params.kernel.gamma,
+                  params.kernel.gamma)
+            << idx;
+        EXPECT_EQ(result.evaluated[idx].params.epsilon, params.epsilon)
+            << idx;
         if (cv_mse < best_cv_mse) {
           best_cv_mse = cv_mse;
           best_params = params;
@@ -184,6 +218,92 @@ TEST(GridSearchTest, MatchesPerPointFoldMaterializationReference) {
   EXPECT_EQ(result.best_params.c, best_params.c);
   EXPECT_EQ(result.best_params.kernel.gamma, best_params.kernel.gamma);
   EXPECT_EQ(result.best_params.epsilon, best_params.epsilon);
+}
+
+TEST(GridSearchTest, WarmChainsAgreeWithColdFits) {
+  // A warm-started C chain stops at a different point inside the SMO
+  // tolerance than a cold fit at the same C, so cv_mse moves slightly: on
+  // these near-noise-floor fits (cv_mse down to 2.3e-3) by at most 0.54 %
+  // relative, on the paper-scale corpus in the 4th-5th significant digit.
+  // kRelBound leaves a 3.7x margin; the search must pick the same point.
+  constexpr double kRelBound = 2e-2;
+  const auto data = wavy_data(60, 12);
+  GridSpec spec;  // the paper's 7 C values
+  spec.gamma_values = {0.5, 4.0};
+  spec.epsilon_values = {0.05, 0.2};
+  spec.folds = 4;
+  const auto result = grid_search_svr(data, spec);
+
+  Rng fold_rng(spec.seed);
+  const auto folds = make_folds(data.size(), spec.folds, fold_rng);
+  double best_cv_mse = std::numeric_limits<double>::infinity();
+  SvrParams best_params;
+  std::size_t idx = 0;
+  for (double c : spec.c_values) {
+    for (double gamma : spec.gamma_values) {
+      for (double eps : spec.epsilon_values) {
+        SvrParams params;
+        params.kernel.gamma = gamma;
+        params.c = c;
+        params.epsilon = eps;
+        double squared_error = 0.0;
+        for (const auto& f : folds) {
+          const SvrModel model = SvrModel::train(data.subset(f.train), params);
+          const Dataset validation = data.subset(f.validation);
+          for (const auto& s : validation.samples()) {
+            const double err = model.predict(s.x) - s.y;
+            squared_error += err * err;
+          }
+        }
+        const double cold = squared_error / static_cast<double>(data.size());
+        ASSERT_LT(idx, result.evaluated.size());
+        EXPECT_NEAR(result.evaluated[idx].cv_mse, cold, kRelBound * cold)
+            << "C=" << c << " gamma=" << gamma << " eps=" << eps;
+        if (cold < best_cv_mse) {
+          best_cv_mse = cold;
+          best_params = params;
+        }
+        ++idx;
+      }
+    }
+  }
+  EXPECT_EQ(result.best_params.c, best_params.c);
+  EXPECT_EQ(result.best_params.kernel.gamma, best_params.kernel.gamma);
+  EXPECT_EQ(result.best_params.epsilon, best_params.epsilon);
+}
+
+TEST(GridSearchTest, UnsortedAndDuplicatedCValues) {
+  // The chains solve the distinct C values in ascending order whatever the
+  // spec's order; `evaluated` still follows the spec's C-outer order, and
+  // a repeated C reads the same chain slot.
+  const auto data = wavy_data(48, 13);
+  GridSpec sorted = small_grid();
+  sorted.c_values = {1.0, 8.0, 50.0};
+  GridSpec shuffled = sorted;
+  shuffled.c_values = {50.0, 1.0, 8.0, 1.0};
+  const auto a = grid_search_svr(data, sorted);
+  const auto b = grid_search_svr(data, shuffled);
+
+  const std::size_t per_c =
+      sorted.gamma_values.size() * sorted.epsilon_values.size();
+  ASSERT_EQ(b.evaluated.size(), shuffled.c_values.size() * per_c);
+  const std::size_t sorted_pos[] = {2, 0, 1, 0};  // shuffled C -> sorted C
+  for (std::size_t ci = 0; ci < shuffled.c_values.size(); ++ci) {
+    for (std::size_t k = 0; k < per_c; ++k) {
+      const GridPoint& got = b.evaluated[ci * per_c + k];
+      const GridPoint& want = a.evaluated[sorted_pos[ci] * per_c + k];
+      EXPECT_EQ(got.params.c, shuffled.c_values[ci]);
+      EXPECT_EQ(got.params.kernel.gamma, want.params.kernel.gamma);
+      EXPECT_EQ(got.params.epsilon, want.params.epsilon);
+      EXPECT_EQ(got.cv_mse, want.cv_mse) << "C=" << got.params.c;
+    }
+  }
+  for (std::size_t k = 0; k < per_c; ++k) {
+    EXPECT_EQ(b.evaluated[1 * per_c + k].cv_mse,
+              b.evaluated[3 * per_c + k].cv_mse);
+  }
+  EXPECT_EQ(a.best_cv_mse, b.best_cv_mse);
+  EXPECT_EQ(a.best_params.c, b.best_params.c);
 }
 
 TEST(GridSearchTest, TiesBreakTowardLowestGridIndex) {

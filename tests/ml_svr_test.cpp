@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <numbers>
+#include <string_view>
 
 #include "util/rng.h"
 #include "util/stats.h"
@@ -197,11 +198,17 @@ TEST(SvrTest, TinyCacheStillCorrect) {
   roomy.cache_mb = 64.0;
   SvrParams tiny = roomy;
   tiny.cache_mb = 1e-5;  // ~2 rows
-  const auto a = SvrModel::train(data, roomy);
-  const auto b = SvrModel::train(data, tiny);
+  SvrTrainReport report_a;
+  SvrTrainReport report_b;
+  const auto a = SvrModel::train(data, roomy, &report_a);
+  const auto b = SvrModel::train(data, tiny, &report_b);
+  // The solver reads two cached rows per update; under constant eviction
+  // the path (and so every bit of the model) must not change.
+  EXPECT_EQ(report_a.iterations, report_b.iterations);
+  EXPECT_EQ(a.bias(), b.bias());
   for (double x = -1.0; x <= 1.0; x += 0.25) {
-    ASSERT_NEAR(a.predict(std::vector<double>{x}),
-                b.predict(std::vector<double>{x}), 1e-9);
+    ASSERT_EQ(a.predict(std::vector<double>{x}),
+              b.predict(std::vector<double>{x}));
   }
 }
 
@@ -365,6 +372,87 @@ TEST(SvrWorkingSetTest, FirstAndSecondOrderReachSameOptimum) {
     EXPECT_NEAR(model1.predict(std::vector<double>{x}),
                 model2.predict(std::vector<double>{x}), 5e-3)
         << "x=" << x;
+  }
+}
+
+/// Pinned cold-path results: one fixed 2-D dataset per kernel, solved with
+/// both working-set rules. Any change to the SMO arithmetic or its
+/// selection order shows up here as a different iteration count, bias bit
+/// pattern or support-vector count.
+struct PinnedSolve {
+  KernelKind kind;
+  bool second_order;
+  std::size_t iterations;
+  double bias;
+  std::size_t support_vectors;
+};
+
+Dataset pinned_data(std::uint64_t seed) {
+  Rng rng(seed);
+  Dataset data;
+  for (std::size_t i = 0; i < 48; ++i) {
+    const double x0 = rng.uniform(-1.0, 1.0);
+    const double x1 = rng.uniform(-1.0, 1.0);
+    data.add(Sample{{x0, x1},
+                    std::sin(std::numbers::pi * x0) + 0.5 * x1 * x1 +
+                        rng.normal(0.0, 0.05)});
+  }
+  return data;
+}
+
+SvrParams pinned_params(KernelKind kind, bool second_order) {
+  SvrParams params;
+  params.kernel.kind = kind;
+  params.second_order_working_set = second_order;
+  params.epsilon = 0.05;
+  switch (kind) {
+    case KernelKind::kRbf:
+      params.kernel.gamma = 2.0;
+      params.c = 20.0;
+      break;
+    case KernelKind::kLinear:
+      params.c = 10.0;
+      break;
+    case KernelKind::kPolynomial:
+      params.kernel.gamma = 0.5;
+      params.kernel.coef0 = 1.0;
+      params.kernel.degree = 3;
+      params.c = 10.0;
+      break;
+    case KernelKind::kSigmoid:
+      params.kernel.gamma = 0.1;
+      params.kernel.coef0 = 0.0;
+      params.c = 1.0;
+      break;
+  }
+  return params;
+}
+
+TEST(SvrTest, ColdPathPinned) {
+  const PinnedSolve pinned[] = {
+      {KernelKind::kRbf, true, 1867, 0x1.d4ae19d523fd3p-2, 27},
+      {KernelKind::kRbf, false, 8713, 0x1.d3ca065c81fc3p-2, 27},
+      {KernelKind::kLinear, true, 263, 0x1.677ee504e7579p-2, 45},
+      {KernelKind::kLinear, false, 967, 0x1.675b6cc1bdb41p-2, 45},
+      {KernelKind::kPolynomial, true, 2483, -0x1.d0e7b113e23ebp-9, 30},
+      {KernelKind::kPolynomial, false, 9323, -0x1.cc6ace93a06ap-9, 31},
+      {KernelKind::kSigmoid, true, 26, -0x1.01ca00e9182c4p-5, 45},
+      {KernelKind::kSigmoid, false, 28, -0x1.01ca00e9182bap-5, 45},
+  };
+  for (const PinnedSolve& expected : pinned) {
+    const auto data =
+        pinned_data(50 + static_cast<std::uint64_t>(expected.kind));
+    SvrTrainReport report;
+    const auto model = SvrModel::train(
+        data, pinned_params(expected.kind, expected.second_order), &report);
+    const std::string_view name = kernel_kind_name(expected.kind);
+    EXPECT_EQ(report.iterations, expected.iterations)
+        << name << " wss2=" << expected.second_order;
+    EXPECT_EQ(report.bias, expected.bias)
+        << name << " wss2=" << expected.second_order << " bias "
+        << std::hexfloat << report.bias;
+    EXPECT_EQ(model.support_vector_count(), expected.support_vectors)
+        << name << " wss2=" << expected.second_order;
   }
 }
 
