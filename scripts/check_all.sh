@@ -4,11 +4,12 @@
 #   release — Release build (-DVMTHERM_WERROR=ON), full ctest suite
 #   lint    — vmtherm-lint over the whole tree (also a ctest in `release`,
 #             run standalone here so its diagnostics reach the console)
-#   asan    — scripts/check_asan.sh  (concurrency + robustness + solver
-#             suites)
-#   tsan    — scripts/check_tsan.sh  (concurrency suites)
-#   ubsan   — scripts/check_ubsan.sh (concurrency + robustness + solver suites,
-#             portable inference TU: -DVMTHERM_INFERENCE_NATIVE=OFF)
+#   asan    — scripts/check_sanitizer.sh address   (concurrency +
+#             robustness + solver suites)
+#   tsan    — scripts/check_sanitizer.sh thread    (concurrency suites)
+#   ubsan   — scripts/check_sanitizer.sh undefined (concurrency + robustness
+#             + solver suites, portable inference TU:
+#             -DVMTHERM_INFERENCE_NATIVE=OFF)
 #   perfbench — perfbench/smoke.py (clean build of the benchmark program
 #             against src/, tiny traced and untraced runs of every workload)
 #
@@ -52,9 +53,9 @@ lint_stage() {
 
 run_stage release release_stage
 run_stage lint lint_stage
-run_stage asan scripts/check_asan.sh
-run_stage tsan scripts/check_tsan.sh
-run_stage ubsan scripts/check_ubsan.sh
+run_stage asan scripts/check_sanitizer.sh address
+run_stage tsan scripts/check_sanitizer.sh thread
+run_stage ubsan scripts/check_sanitizer.sh undefined
 run_stage perfbench python3 perfbench/smoke.py
 
 if [ "$failures" -ne 0 ]; then

@@ -90,10 +90,6 @@ class OnlineTrainer {
   /// clears it immediately).
   bool drift_pending() const noexcept { return drift_.drifted(); }
 
-  /// Whether a drift-triggered refit is waiting for enough new-regime
-  /// records.
-  bool drift_refit_deferred() const noexcept { return drift_trimmed_; }
-
  private:
   void retrain(RetrainReason reason);
 

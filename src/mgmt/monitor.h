@@ -8,6 +8,7 @@
 
 #pragma once
 
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,18 @@ struct MonitoredConfig {
   int fans = 4;
   std::vector<sim::VmConfig> vms;
   double env_temp_c = 23.0;
+
+  /// Throws ConfigError unless the server is valid, 1 <= fans <=
+  /// server.fan_slots, every VM is valid and env_temp_c is finite. An empty
+  /// VM set (an idle host) is valid.
+  void validate() const {
+    server.validate();
+    detail::require(fans >= 1 && fans <= server.fan_slots,
+                    "fans must be in [1, server fan_slots]");
+    for (const sim::VmConfig& vm : vms) vm.validate();
+    detail::require(std::isfinite(env_temp_c),
+                    "env temperature must be finite");
+  }
 };
 
 /// One hotspot-risk row from serve::FleetEngine::hotspot_scan.

@@ -1,8 +1,5 @@
 #include "ml/cv.h"
 
-#include "obs/trace.h"
-#include "util/thread_pool.h"
-
 namespace vmtherm::ml {
 
 std::vector<FoldIndices> make_folds(std::size_t n, std::size_t folds,
@@ -37,46 +34,6 @@ std::vector<FoldIndices> make_folds(std::size_t n, std::size_t folds,
     }
   }
   return out;
-}
-
-double cross_validated_mse(const Dataset& data, std::size_t folds, Rng& rng,
-                           const FitPredictFn& fit_predict,
-                           util::ThreadPool* pool) {
-  const auto fold_sets = make_folds(data.size(), folds, rng);
-
-  // Per-fold partials reduced in fold order below: the reduction is
-  // associativity-stable, so serial and pooled runs agree bitwise.
-  std::vector<double> fold_squared_error(fold_sets.size(), 0.0);
-  std::vector<std::size_t> fold_count(fold_sets.size(), 0);
-  const auto evaluate_fold = [&](std::size_t f) {
-    VMTHERM_SPAN("ml.cv_fold", "ml");
-    const Dataset train = data.subset(fold_sets[f].train);
-    const Dataset validation = data.subset(fold_sets[f].validation);
-    const std::vector<double> pred = fit_predict(train, validation);
-    detail::require_data(pred.size() == validation.size(),
-                         "cv fit_predict returned wrong prediction count");
-    double squared_error = 0.0;
-    for (std::size_t i = 0; i < validation.size(); ++i) {
-      const double e = pred[i] - validation[i].y;
-      squared_error += e * e;
-    }
-    fold_squared_error[f] = squared_error;
-    fold_count[f] = validation.size();
-  };
-
-  if (pool != nullptr) {
-    pool->parallel_for(0, fold_sets.size(), evaluate_fold);
-  } else {
-    for (std::size_t f = 0; f < fold_sets.size(); ++f) evaluate_fold(f);
-  }
-
-  double squared_error = 0.0;
-  std::size_t count = 0;
-  for (std::size_t f = 0; f < fold_sets.size(); ++f) {
-    squared_error += fold_squared_error[f];
-    count += fold_count[f];
-  }
-  return squared_error / static_cast<double>(count);
 }
 
 }  // namespace vmtherm::ml

@@ -1,18 +1,14 @@
 // vmtherm/ml/cv.h
 //
-// k-fold cross-validation — the validation procedure easygrid runs inside
-// its parameter search (the paper uses 10-fold).
+// k-fold fold assignment for the cross-validation easygrid runs inside its
+// parameter search (the paper uses 10-fold); grid_search_svr runs the fold
+// loop itself.
 
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "ml/dataset.h"
-
-namespace vmtherm::util {
-class ThreadPool;
-}
 
 namespace vmtherm::ml {
 
@@ -27,21 +23,5 @@ struct FoldIndices {
 /// n < folds or folds < 2.
 std::vector<FoldIndices> make_folds(std::size_t n, std::size_t folds,
                                     Rng& rng);
-
-/// A model-under-validation: fit on train, return predictions on the
-/// validation features.
-using FitPredictFn = std::function<std::vector<double>(
-    const Dataset& train, const Dataset& validation)>;
-
-/// Runs k-fold CV and returns the MSE averaged over folds (each fold's MSE
-/// weighted by its validation size, i.e. pooled squared error).
-///
-/// When `pool` is non-null the folds are evaluated concurrently on it
-/// (fit_predict must then be safe to call from multiple threads). The
-/// result is bitwise identical to the serial path: per-fold squared-error
-/// partials are reduced in fold order regardless of completion order.
-double cross_validated_mse(const Dataset& data, std::size_t folds, Rng& rng,
-                           const FitPredictFn& fit_predict,
-                           util::ThreadPool* pool = nullptr);
 
 }  // namespace vmtherm::ml

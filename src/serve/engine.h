@@ -53,8 +53,8 @@ class FleetEngine {
   // telemetry drains; call flush() first when that ordering matters.
 
   /// Registers a host and returns its handle. Host ids must be non-empty,
-  /// whitespace-free (snapshot format tokens) and unique; throws
-  /// ConfigError otherwise.
+  /// whitespace-free (snapshot format tokens) and unique, and `config` must
+  /// pass MonitoredConfig::validate(); throws ConfigError otherwise.
   HostHandle register_host(const std::string& host_id,
                            mgmt::MonitoredConfig config, double t0,
                            double measured_c);

@@ -61,7 +61,7 @@ std::uint32_t Shard::import_host(const HostSnapshot& snapshot) {
 template <typename Init>
 std::uint32_t Shard::admit(std::string host_id, mgmt::MonitoredConfig config,
                            Init&& init) {
-  config.server.validate();
+  config.validate();
   std::lock_guard<std::mutex> lock(state_mutex_);
   HostState host{std::move(host_id),
                  std::move(config),
@@ -208,7 +208,7 @@ void Shard::apply(const QueuedEvent& event) {
         VMTHERM_SPAN("serve.update_config", "serve");
         detail::require(event.config != nullptr,
                         "update_config event without a config payload");
-        event.config->server.validate();
+        event.config->validate();
         host.config = *event.config;
         const double psi = psi_stable(host.config);
         host.tracker.retarget(event.time_s, event.measured_c, psi);

@@ -226,7 +226,13 @@ std::unique_ptr<FleetEngine> load_fleet(std::istream& is,
   expect(is, "hosts");
   const auto host_count = read_value<std::size_t>(is, "host count");
   for (std::size_t i = 0; i < host_count; ++i) {
-    engine->import_host(load_host(is));
+    // A host the loader or the engine rejects (unknown task name, invalid
+    // config, duplicate id) is malformed input.
+    try {
+      engine->import_host(load_host(is));
+    } catch (const ConfigError& e) {
+      throw IoError(std::string("fleet snapshot: ") + e.what());
+    }
   }
 
   expect(is, "metrics");

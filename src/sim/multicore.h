@@ -56,7 +56,6 @@ class MultiCoreThermalNetwork {
 
   int cores() const noexcept { return params_.cores; }
   double core_temp_c(int core) const { return core_c_.at(static_cast<std::size_t>(core)); }
-  const std::vector<double>& core_temps_c() const noexcept { return core_c_; }
   double sink_temp_c() const noexcept { return sink_c_; }
 
   /// Hottest core temperature.

@@ -17,9 +17,6 @@ Vm::Vm(std::string id, const VmConfig& config,
   config_.validate();
 }
 
-double Vm::step(double dt) {
-  last_util_ = model_->step(dt);
-  return last_util_;
-}
+double Vm::step(double dt) { return model_->step(dt); }
 
 }  // namespace vmtherm::sim

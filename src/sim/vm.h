@@ -52,16 +52,8 @@ class Vm {
   const VmConfig& config() const noexcept { return config_; }
 
   /// Advances the workload by dt seconds; returns per-vCPU utilization in
-  /// [0, 1] and caches it for last_utilization().
+  /// [0, 1].
   double step(double dt);
-
-  /// Utilization produced by the most recent step() (0 before any step).
-  double last_utilization() const noexcept { return last_util_; }
-
-  /// Demanded CPU in GHz at the last step: vcpus * core_ghz * utilization.
-  double cpu_demand_ghz(double core_ghz) const noexcept {
-    return static_cast<double>(config_.vcpus) * core_ghz * last_util_;
-  }
 
   /// Actively used memory in GB (config memory x task's activity factor).
   double active_memory_gb() const noexcept {
@@ -77,7 +69,6 @@ class Vm {
   std::string id_;
   VmConfig config_;
   std::unique_ptr<UtilizationModel> model_;
-  double last_util_ = 0.0;
 };
 
 }  // namespace vmtherm::sim

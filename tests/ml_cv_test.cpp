@@ -1,13 +1,10 @@
-// Tests for ml/cv: fold construction and cross-validated scoring.
+// Tests for ml/cv: k-fold fold construction.
 
 #include "ml/cv.h"
 
 #include <gtest/gtest.h>
 
 #include <set>
-
-#include "ml/linreg.h"
-#include "util/thread_pool.h"
 
 namespace vmtherm::ml {
 namespace {
@@ -100,87 +97,6 @@ TEST(MakeFoldsTest, TrainListsDeterministicGivenRngState) {
     EXPECT_EQ(fa[i].train, fb[i].train);
     EXPECT_EQ(fa[i].validation, fb[i].validation);
   }
-}
-
-TEST(CrossValidatedMseTest, PerfectModelScoresZero) {
-  Dataset data;
-  for (int i = 0; i < 30; ++i) {
-    const double x = static_cast<double>(i);
-    data.add(Sample{{x}, 2.0 * x + 1.0});
-  }
-  Rng rng(6);
-  const double score = cross_validated_mse(
-      data, 5, rng, [](const Dataset& train, const Dataset& validation) {
-        const auto model = LinearRegression::fit(train);
-        return model.predict(validation);
-      });
-  EXPECT_NEAR(score, 0.0, 1e-9);
-}
-
-TEST(CrossValidatedMseTest, ConstantPredictorScoresVariance) {
-  // Predicting 0 for targets {-1, +1} alternating: MSE = 1.
-  Dataset data;
-  for (int i = 0; i < 20; ++i) {
-    data.add(Sample{{static_cast<double>(i)}, i % 2 == 0 ? 1.0 : -1.0});
-  }
-  Rng rng(7);
-  const double score = cross_validated_mse(
-      data, 4, rng, [](const Dataset&, const Dataset& validation) {
-        return std::vector<double>(validation.size(), 0.0);
-      });
-  EXPECT_DOUBLE_EQ(score, 1.0);
-}
-
-TEST(CrossValidatedMseTest, PooledRunBitwiseMatchesSerial) {
-  Dataset data;
-  Rng noise(10);
-  for (int i = 0; i < 35; ++i) {
-    const double x = static_cast<double>(i) / 7.0;
-    data.add(Sample{{x}, 3.0 * x - 2.0 + noise.normal(0, 0.1)});
-  }
-  const auto fit_predict = [](const Dataset& train,
-                              const Dataset& validation) {
-    const auto model = LinearRegression::fit(train);
-    return model.predict(validation);
-  };
-  Rng serial_rng(11);
-  const double serial = cross_validated_mse(data, 5, serial_rng, fit_predict);
-  util::ThreadPool pool(3);
-  Rng pooled_rng(11);
-  const double pooled =
-      cross_validated_mse(data, 5, pooled_rng, fit_predict, &pool);
-  EXPECT_EQ(serial, pooled);  // bitwise, not just approximately
-}
-
-TEST(CrossValidatedMseTest, PooledRunPropagatesFitErrors) {
-  Dataset data;
-  for (int i = 0; i < 12; ++i) {
-    data.add(Sample{{static_cast<double>(i)}, 0.0});
-  }
-  util::ThreadPool pool(2);
-  Rng rng(12);
-  EXPECT_THROW((void)cross_validated_mse(
-                   data, 3, rng,
-                   [](const Dataset&, const Dataset&) -> std::vector<double> {
-                     throw DataError("fit exploded");
-                   },
-                   &pool),
-               DataError);
-}
-
-TEST(CrossValidatedMseTest, WrongPredictionCountThrows) {
-  Dataset data;
-  for (int i = 0; i < 10; ++i) {
-    data.add(Sample{{static_cast<double>(i)}, 0.0});
-  }
-  Rng rng(8);
-  EXPECT_THROW(
-      (void)cross_validated_mse(
-          data, 2, rng,
-          [](const Dataset&, const Dataset&) {
-            return std::vector<double>{0.0};  // wrong size
-          }),
-      DataError);
 }
 
 }  // namespace

@@ -166,6 +166,21 @@ TEST(SnapshotCorruptionTest, CorruptedSnapshotsFailCleanly) {
          return replace_first(s, "counter apply.observe",
                               "banana apply.observe");
        }},
+      {"server-zero-cores",
+       [](const std::string& s) {
+         return replace_first(s, "server medium-2u 16 ", "server medium-2u 0 ");
+       }},
+      {"fans-zero",
+       [](const std::string& s) { return replace_first(s, "fans 4", "fans 0"); }},
+      {"fans-above-slots",
+       // medium-2u has 6 fan slots.
+       [](const std::string& s) {
+         return replace_first(s, "fans 4", "fans 99");
+       }},
+      {"unknown-vm-task",
+       [](const std::string& s) {
+         return replace_first(s, "vm cpu_burn ", "vm banana ");
+       }},
       {"garbage-counter-value",
        [](const std::string& s) {
          return replace_first(s, "counter apply.observe ",
@@ -179,7 +194,7 @@ TEST(SnapshotCorruptionTest, CorruptedSnapshotsFailCleanly) {
     const std::string bad = corruption.mutate(good);
     ASSERT_NE(bad, good) << "corruption was a no-op";
     std::istringstream in(bad);
-    EXPECT_THROW(serve::load_fleet(in, manual_options()), Error);
+    EXPECT_THROW(serve::load_fleet(in, manual_options()), IoError);
   }
 }
 

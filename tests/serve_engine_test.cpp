@@ -1,7 +1,7 @@
 // Tests for serve/engine: the sharded FleetEngine — registration, manual
 // and pooled draining, backpressure, determinism across shard counts, and
 // the concurrency protocol (this file is the TSan target for the serving
-// layer; see scripts/check_tsan.sh).
+// layer; see `scripts/check_sanitizer.sh thread`).
 
 #include "serve/engine.h"
 
@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/dynamic_predictor.h"
@@ -108,6 +109,63 @@ TEST(FleetEngineTest, RegisterQueryUnregister) {
   EXPECT_EQ(engine.handle_of("h1"), kInvalidHostHandle);
   EXPECT_THROW((void)engine.forecast(h1, 60.0), ConfigError);
   EXPECT_EQ(engine.metrics().gauge("fleet.hosts").value(), 0);
+}
+
+/// One invalid field per entry, each applied to an otherwise valid config.
+std::vector<std::pair<const char*, mgmt::MonitoredConfig>> invalid_configs() {
+  std::vector<std::pair<const char*, mgmt::MonitoredConfig>> out;
+  mgmt::MonitoredConfig config = busy_config();
+  config.fans = 0;
+  out.emplace_back("fans-zero", config);
+  config = busy_config();
+  config.fans = 99;  // medium has 6 fan slots
+  out.emplace_back("fans-above-slots", config);
+  config = busy_config();
+  config.vms[0].vcpus = 0;
+  out.emplace_back("vm-zero-vcpus", config);
+  config = busy_config();
+  config.vms[1].memory_gb = -4.0;
+  out.emplace_back("vm-negative-memory", config);
+  config = busy_config();
+  config.env_temp_c = std::nan("");
+  out.emplace_back("env-nan", config);
+  config = busy_config();
+  config.server.physical_cores = 0;
+  out.emplace_back("server-zero-cores", config);
+  return out;
+}
+
+TEST(FleetEngineTest, RegisterRejectsInvalidConfigs) {
+  FleetEngine engine(shared_predictor(), manual_options());
+  for (const auto& [name, config] : invalid_configs()) {
+    SCOPED_TRACE(name);
+    EXPECT_THROW(engine.register_host("h1", config, 0.0, 23.0), ConfigError);
+  }
+  EXPECT_EQ(engine.host_count(), 0u);
+  // An idle host (no VMs) is a valid configuration.
+  mgmt::MonitoredConfig idle_host = busy_config();
+  idle_host.vms.clear();
+  (void)engine.register_host("h1", idle_host, 0.0, 23.0);
+  EXPECT_EQ(engine.host_count(), 1u);
+}
+
+TEST(FleetEngineTest, InvalidConfigUpdateCountsErrorAndKeepsConfig) {
+  for (const auto& [name, config] : invalid_configs()) {
+    SCOPED_TRACE(name);
+    FleetEngine engine(shared_predictor(), manual_options());
+    const HostHandle h = engine.register_host("h1", busy_config(), 0.0, 23.0);
+    engine.ingest(TelemetryEvent::update_config(h, 60.0, 30.0, config));
+    engine.flush();
+    EXPECT_EQ(engine.metrics().counter("apply.errors").value(), 1u);
+    EXPECT_EQ(engine.metrics().counter("apply.config_update").value(), 0u);
+    const mgmt::MonitoredConfig kept = engine.config_of(h);
+    EXPECT_EQ(kept.fans, 4);
+    ASSERT_EQ(kept.vms.size(), 2u);
+    EXPECT_EQ(kept.vms[0].vcpus, 8);
+    EXPECT_EQ(kept.vms[1].memory_gb, 8.0);
+    EXPECT_EQ(kept.env_temp_c, 23.0);
+    EXPECT_EQ(kept.server.physical_cores, busy_config().server.physical_cores);
+  }
 }
 
 TEST(FleetEngineTest, ShardAssignmentIsStable) {
