@@ -1,14 +1,18 @@
 // Microbenchmarks of the ML substrate (google-benchmark): SMO training
-// (cold and along a warm C path), prediction throughput, kernel evaluation
-// and grid-search cost. These bound the offline training and online
-// serving cost of the paper's pipeline.
+// (cold and along a warm C path), prediction throughput, kernel evaluation,
+// grid-search cost and the migration planner built on the predictor. These
+// bound the offline training and online serving cost of the paper's
+// pipeline.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <vector>
 
+#include "core/evaluator.h"
+#include "mgmt/planner.h"
 #include "ml/forest.h"
 #include "ml/grid.h"
 #include "ml/svr.h"
@@ -250,6 +254,64 @@ void BM_ForestPredict(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ForestPredict);
+
+void BM_PlanMigrations(benchmark::State& state) {
+  // One plan over 64 hosts: 16 hot (one fan, 6-10 mostly CPU-bound VMs)
+  // and 48 cool, VMs from the 4 x 4 x 6 (vcpus, memory, task) catalog, the
+  // target at the fleet's 90th-percentile prediction and 8 moves at most.
+  static const core::StableTemperaturePredictor predictor = [] {
+    sim::ScenarioRanges ranges;
+    ranges.duration_s = 1200.0;
+    ranges.sample_interval_s = 10.0;
+    core::StableTrainOptions options;
+    ml::SvrParams params;
+    params.kernel.gamma = 1.0 / 32;
+    params.c = 512.0;
+    params.epsilon = 0.05;
+    options.fixed_params = params;
+    return core::StableTemperaturePredictor::train(
+        core::generate_corpus(ranges, 150, 72), options);
+  }();
+  static const char* const kKinds[] = {"small", "medium", "large"};
+  static const int kVcpus[] = {1, 2, 4, 8};
+  static const double kMemory[] = {2.0, 4.0, 8.0, 16.0};
+  Rng rng(3);
+  std::vector<mgmt::HostPlacement> fleet(64);
+  std::vector<double> before;
+  int next_id = 0;
+  for (std::size_t h = 0; h < fleet.size(); ++h) {
+    const bool hot = h % 4 == 0;
+    mgmt::HostPlacement& host = fleet[h];
+    host.server = sim::make_server_spec(kKinds[rng.uniform_int(0, 2)]);
+    host.fans = hot ? 1 : rng.uniform_int(2, host.server.fan_slots);
+    const int vms = hot ? rng.uniform_int(6, 10) : rng.uniform_int(1, 3);
+    for (int v = 0; v < vms; ++v) {
+      sim::VmConfig vm;
+      vm.vcpus = kVcpus[rng.uniform_int(0, 3)];
+      vm.memory_gb = kMemory[rng.uniform_int(0, 3)];
+      vm.task = sim::all_task_types()[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<int>(sim::kTaskTypeCount) - 1))];
+      if (hot && rng.bernoulli(0.6)) vm.task = sim::TaskType::kCpuBurn;
+      if (host.fits(vm)) {
+        host.vms.push_back({"vm-" + std::to_string(next_id++), vm});
+      }
+    }
+    before.push_back(predictor.predict(host.server, host.configs(),
+                                       host.fans, 23.0));
+  }
+  std::sort(before.begin(), before.end());
+  mgmt::PlannerOptions options;
+  options.target_c = before[before.size() * 9 / 10];
+  std::size_t moves = 0;
+  for (auto _ : state) {
+    const mgmt::MigrationPlan plan =
+        mgmt::plan_migrations(predictor, fleet, options);
+    moves = plan.moves.size();
+    benchmark::DoNotOptimize(plan.predicted_after_c.data());
+  }
+  state.counters["moves"] = static_cast<double>(moves);
+}
+BENCHMARK(BM_PlanMigrations)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -5,10 +5,10 @@
 #   lint    — vmtherm-lint over the whole tree (also a ctest in `release`,
 #             run standalone here so its diagnostics reach the console)
 #   asan    — scripts/check_sanitizer.sh address   (concurrency +
-#             robustness + solver suites)
+#             robustness + solver + planner suites)
 #   tsan    — scripts/check_sanitizer.sh thread    (concurrency suites)
 #   ubsan   — scripts/check_sanitizer.sh undefined (concurrency + robustness
-#             + solver suites, portable inference TU:
+#             + solver + planner suites, portable inference TU:
 #             -DVMTHERM_INFERENCE_NATIVE=OFF)
 #   perfbench — perfbench/smoke.py (clean build of the benchmark program
 #             against src/, tiny traced and untraced runs of every workload)

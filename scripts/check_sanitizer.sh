@@ -6,8 +6,8 @@
 #   scripts/check_sanitizer.sh <address|thread|undefined> [build-dir]
 #
 #   address   — build-asan/  by default; concurrency, malformed-input
-#               robustness and SMO solver suites
-#               (-L 'concurrency|robustness|solver')
+#               robustness, SMO solver and migration planner suites
+#               (-L 'concurrency|robustness|solver|planner')
 #   thread    — build-tsan/  by default; the concurrent paths: thread pool,
 #               grid search and fleet serving (-L concurrency)
 #   undefined — build-ubsan/ by default; same labels as address. The SVR
@@ -35,7 +35,7 @@ EXTRA_FLAGS=""
 case "$SANITIZER" in
   address)
     DEFAULT_DIR=build-asan
-    LABELS='concurrency|robustness|solver'
+    LABELS='concurrency|robustness|solver|planner'
     ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1}"
     export ASAN_OPTIONS
     ;;
@@ -47,7 +47,7 @@ case "$SANITIZER" in
     ;;
   undefined)
     DEFAULT_DIR=build-ubsan
-    LABELS='concurrency|robustness|solver'
+    LABELS='concurrency|robustness|solver|planner'
     EXTRA_FLAGS=-DVMTHERM_INFERENCE_NATIVE=OFF
     UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
     export UBSAN_OPTIONS
@@ -70,6 +70,6 @@ cmake --build "$BUILD_DIR" -j \
   --target util_thread_pool_test ml_cv_test ml_grid_test ml_svr_test ml_svr_inference_test \
            cli_test serve_metrics_test serve_engine_test serve_snapshot_test \
            serve_psi_cache_test serve_replay_test obs_trace_test obs_accuracy_test \
-           robustness_corruption_test
+           robustness_corruption_test mgmt_planner_test
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j 2 -L "$LABELS"

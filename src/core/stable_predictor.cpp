@@ -34,6 +34,7 @@ StableTemperaturePredictor StableTemperaturePredictor::train(
     params = grid.best_params;
     local.cv_mse = grid.best_cv_mse;
     local.grid_points_evaluated = grid.evaluated.size();
+    local.grid_smo_iterations = grid.smo_iterations;
   }
   local.chosen_params = params;
 

@@ -33,6 +33,9 @@ struct StableTrainReport {
   ml::SvrParams chosen_params;
   double cv_mse = 0.0;       ///< CV MSE of the winning grid point (0 if fixed)
   std::size_t grid_points_evaluated = 0;
+  /// SMO iterations of the whole grid search (0 if fixed); final_fit's
+  /// iterations are not included.
+  std::size_t grid_smo_iterations = 0;
   ml::SvrTrainReport final_fit;
   std::size_t training_records = 0;
 };

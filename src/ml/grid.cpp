@@ -47,9 +47,10 @@ GridSearchResult grid_search_svr(const Dataset& data, const GridSpec& spec,
   const std::size_t n_folds = fold_data.size();
   const std::size_t n_chains = n_gamma * n_eps * n_folds;
 
-  // Validation squared error per (path C, gamma, epsilon, fold), each slot
-  // written by exactly one chain.
+  // Validation squared error per (path C, gamma, epsilon, fold) and SMO
+  // iterations per chain, each slot written by exactly one chain.
   std::vector<double> fold_squared_error(path.size() * n_chains, 0.0);
+  std::vector<std::size_t> chain_iterations(n_chains, 0);
   const auto slot = [&](std::size_t m, std::size_t chain) {
     return m * n_chains + chain;
   };
@@ -71,8 +72,12 @@ GridSearchResult grid_search_svr(const Dataset& data, const GridSpec& spec,
     const std::size_t e = (chain / n_folds) % n_eps;
     const std::size_t g = chain / (n_folds * n_eps);
     const FoldData& fd = fold_data[f];
-    const std::vector<SvrModel> models =
-        SvrModel::train_c_path(fd.train, point_params(path[0], g, e), path);
+    std::vector<SvrTrainReport> reports;
+    const std::vector<SvrModel> models = SvrModel::train_c_path(
+        fd.train, point_params(path[0], g, e), path, &reports);
+    for (const SvrTrainReport& report : reports) {
+      chain_iterations[chain] += report.iterations;
+    }
     for (std::size_t m = 0; m < models.size(); ++m) {
       double squared_error = 0.0;
       for (const auto& s : fd.validation.samples()) {
@@ -105,6 +110,9 @@ GridSearchResult grid_search_svr(const Dataset& data, const GridSpec& spec,
   // point's folds are reduced in fold order. Every sample validates in
   // exactly one fold.
   GridSearchResult result;
+  for (const std::size_t iterations : chain_iterations) {
+    result.smo_iterations += iterations;
+  }
   result.evaluated.reserve(spec.c_values.size() * n_gamma * n_eps);
   for (const double c : spec.c_values) {
     const auto m = static_cast<std::size_t>(

@@ -55,6 +55,9 @@ struct GridSearchResult {
   SvrParams best_params;
   double best_cv_mse = 0.0;
   std::vector<GridPoint> evaluated;
+  /// SMO iterations of every solve on every chain, summed in chain order
+  /// (the same at any thread count).
+  std::size_t smo_iterations = 0;
 };
 
 /// Exhaustive search: scores every (C, gamma, epsilon) point of the grid

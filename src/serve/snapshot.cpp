@@ -204,6 +204,9 @@ void save_fleet(std::ostream& os, FleetEngine& engine) {
 
 std::unique_ptr<FleetEngine> load_fleet(std::istream& is,
                                         FleetEngineOptions options) {
+  // The caller's options first, so a bad one stays a ConfigError; past
+  // this point a ConfigError can only come from the file's values.
+  options.validate();
   expect(is, "vmtherm_fleet");
   expect(is, "v2");
   expect(is, "dynamic");
@@ -219,9 +222,14 @@ std::unique_ptr<FleetEngine> load_fleet(std::istream& is,
 
   ml::MinMaxScaler scaler = ml::load_scaler(is);
   ml::SvrModel model = ml::load_svr(is);
-  auto engine = std::make_unique<FleetEngine>(
-      core::StableTemperaturePredictor(std::move(scaler), std::move(model)),
-      options);
+  std::unique_ptr<FleetEngine> engine;
+  try {
+    engine = std::make_unique<FleetEngine>(
+        core::StableTemperaturePredictor(std::move(scaler), std::move(model)),
+        options);
+  } catch (const ConfigError& e) {
+    throw IoError(std::string("fleet snapshot: ") + e.what());
+  }
 
   expect(is, "hosts");
   const auto host_count = read_value<std::size_t>(is, "host count");

@@ -48,7 +48,9 @@ void save_fleet(std::ostream& os, FleetEngine& engine);
 /// dynamic and drift parameters are overridden from the file so restored
 /// trackers behave identically. Host handles are reassigned (hosts are
 /// imported in the file's sorted order) — re-resolve via handle_of().
-/// Throws IoError on malformed input.
+/// Throws IoError on malformed input, including out-of-range dynamic or
+/// drift values in the file, and ConfigError when `options` itself is
+/// invalid.
 std::unique_ptr<FleetEngine> load_fleet(std::istream& is,
                                         FleetEngineOptions options = {});
 

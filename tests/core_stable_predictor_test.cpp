@@ -78,6 +78,28 @@ TEST(StablePredictorTest, GridSearchPathRuns) {
   (void)predictor;
 }
 
+TEST(StablePredictorTest, ReportsGridSmoIterations) {
+  StableTrainOptions options;
+  options.grid.c_values = {8.0, 128.0};
+  options.grid.gamma_values = {0.125, 1.0};
+  options.grid.epsilon_values = {0.1};
+  options.grid.folds = 4;
+  StableTrainReport serial;
+  options.grid.threads = 1;
+  (void)StableTemperaturePredictor::train(small_corpus(), options, &serial);
+  StableTrainReport pooled;
+  options.grid.threads = 4;
+  (void)StableTemperaturePredictor::train(small_corpus(), options, &pooled);
+  EXPECT_EQ(serial.grid_smo_iterations, pooled.grid_smo_iterations);
+  // 2 gamma x 4 folds chains of two solves each, against one final fit.
+  EXPECT_GT(serial.grid_smo_iterations, serial.final_fit.iterations);
+
+  StableTrainReport fixed;
+  (void)StableTemperaturePredictor::train(small_corpus(), fast_options(),
+                                          &fixed);
+  EXPECT_EQ(fixed.grid_smo_iterations, 0u);
+}
+
 TEST(StablePredictorTest, PredictsFromExplicitInputs) {
   const auto predictor =
       StableTemperaturePredictor::train(small_corpus(), fast_options());

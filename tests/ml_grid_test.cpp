@@ -104,6 +104,7 @@ void expect_bitwise_equal(const GridSearchResult& a, const GridSearchResult& b) 
   EXPECT_EQ(a.best_params.c, b.best_params.c);
   EXPECT_EQ(a.best_params.kernel.gamma, b.best_params.kernel.gamma);
   EXPECT_EQ(a.best_params.epsilon, b.best_params.epsilon);
+  EXPECT_EQ(a.smo_iterations, b.smo_iterations);
   ASSERT_EQ(a.evaluated.size(), b.evaluated.size());
   for (std::size_t i = 0; i < a.evaluated.size(); ++i) {
     EXPECT_EQ(a.evaluated[i].cv_mse, b.evaluated[i].cv_mse) << i;

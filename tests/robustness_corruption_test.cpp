@@ -140,6 +140,11 @@ TEST(SnapshotCorruptionTest, CorruptedSnapshotsFailCleanly) {
        [](const std::string& s) {
          return replace_first(s, "dynamic 0.", "dynamic nan0.");
        }},
+      {"dynamic-learning-rate-2",
+       // Parses, but the engine rejects a learning rate outside [0, 1].
+       [](const std::string& s) {
+         return replace_first(s, "dynamic 0.", "dynamic 2.");
+       }},
       {"nan-injected-tracker",
        [](const std::string& s) {
          return replace_first(s, "tracker 1 ", "tracker 1 nan ");

@@ -177,5 +177,21 @@ TEST(FleetSnapshotTest, MalformedInputThrows) {
   EXPECT_THROW((void)load_fleet_file("/nonexistent/fleet.txt"), IoError);
 }
 
+TEST(FleetSnapshotTest, InvalidCallerOptionsThrowConfigError) {
+  // The caller's options are checked before the file is read, so a bad one
+  // is the caller's ConfigError even where the file would override it.
+  auto engine = make_fed_engine(1, 3);
+  std::ostringstream snapshot;
+  save_fleet(snapshot, *engine);
+  FleetEngineOptions no_shards = engine_options(2);
+  no_shards.shards = 0;
+  FleetEngineOptions bad_rate = engine_options(2);
+  bad_rate.dynamic.learning_rate = 2.0;
+  for (const FleetEngineOptions& options : {no_shards, bad_rate}) {
+    std::istringstream in(snapshot.str());
+    EXPECT_THROW((void)load_fleet(in, options), ConfigError);
+  }
+}
+
 }  // namespace
 }  // namespace vmtherm::serve
