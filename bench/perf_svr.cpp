@@ -12,11 +12,15 @@
 #include <vector>
 
 #include "core/evaluator.h"
+#include "core/stable_predictor.h"
 #include "mgmt/planner.h"
+#include "ml/cv.h"
 #include "ml/forest.h"
 #include "ml/grid.h"
+#include "ml/scaler.h"
 #include "ml/svr.h"
 #include "ml/svr_inference.h"
+#include "ml/svr_smo_kernels.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -228,6 +232,88 @@ void BM_SvrTrainCacheConstrained(benchmark::State& state) {
 }
 BENCHMARK(BM_SvrTrainCacheConstrained)->Arg(0)->Arg(1)
     ->Unit(benchmark::kMillisecond);
+
+void BM_Wss2Scan(benchmark::State& state) {
+  // One WSS2 working-set scan over a synthetic mid-solve state of l base
+  // samples (2l variables; a quarter of each half at a bound): the scalar
+  // kernel (Arg 1 = 0) vs the AVX-512 one (Arg 1 = 1), which picks the
+  // same pair bit for bit.
+  const auto l = static_cast<std::size_t>(state.range(0));
+  const bool simd = state.range(1) == 1;
+  if (simd && !ml::smo::cpu_has_avx512()) {
+    state.SkipWithError("CPU lacks AVX-512");
+    return;
+  }
+  const double c = 8.0;
+  Rng rng(21);
+  std::vector<double> alpha(2 * l);
+  std::vector<double> grad(2 * l);
+  for (std::size_t t = 0; t < 2 * l; ++t) {
+    const double u = rng.uniform(0.0, 1.0);
+    alpha[t] = u < 0.125 ? 0.0 : (u < 0.25 ? c : rng.uniform(0.0, c));
+    grad[t] = rng.uniform(-1.0, 1.0);
+  }
+  std::vector<double> qdiag(l, 1.0);
+  std::vector<double> rows(l * l);
+  for (double& k : rows) k = rng.uniform(0.0, 1.0);
+  struct Rows {
+    const std::vector<double>* values;
+    std::size_t l;
+    static const double* fetch(void* self, std::size_t k) {
+      const auto* r = static_cast<const Rows*>(self);
+      return r->values->data() + k * r->l;
+    }
+  } source{&rows, l};
+  const ml::smo::View view{alpha.data(), grad.data(), qdiag.data(), l, c};
+  const ml::smo::RowSource row_source{&Rows::fetch, &source};
+#if defined(__x86_64__)
+  const auto wss2 = simd ? &ml::smo::wss2_avx512 : &ml::smo::wss2_scalar;
+#else
+  const auto wss2 = &ml::smo::wss2_scalar;
+#endif
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(wss2(view, row_source));
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(l));
+  state.SetLabel(simd ? "avx512" : "scalar");
+}
+BENCHMARK(BM_Wss2Scan)->Args({180, 0})->Args({180, 1})->Args({1000, 0})
+    ->Args({1000, 1});
+
+void BM_SmoChainPaperWindow(benchmark::State& state) {
+  // One grid chain at the paper's scale: the default C list solved warm
+  // at gamma = 1/32, epsilon = 0.05 on the 180-sample training split of
+  // fold 0 of a 200-record generate_corpus window (scaled as
+  // StableTemperaturePredictor::train scales it). time_per_smo_iteration
+  // is the per-iteration solver cost, through whichever SMO kernels this
+  // CPU resolved to (the label).
+  const auto records = core::generate_corpus(sim::ScenarioRanges{}, 200, 1);
+  const ml::Dataset raw = core::records_to_dataset(records);
+  const ml::Dataset scaled = ml::MinMaxScaler::fit(raw).transform(raw);
+  const ml::GridSpec spec;
+  Rng fold_rng(spec.seed);
+  const auto folds = ml::make_folds(scaled.size(), spec.folds, fold_rng);
+  const ml::Dataset train = scaled.subset(folds.front().train);
+  ml::SvrParams params;
+  params.kernel.gamma = 1.0 / 32;
+  params.epsilon = 0.05;
+  std::size_t chain_iterations = 0;
+  for (auto _ : state) {
+    std::vector<ml::SvrTrainReport> reports;
+    benchmark::DoNotOptimize(
+        ml::SvrModel::train_c_path(train, params, spec.c_values, &reports));
+    chain_iterations = 0;
+    for (const auto& r : reports) chain_iterations += r.iterations;
+  }
+  const double total_iterations = static_cast<double>(chain_iterations) *
+                                  static_cast<double>(state.iterations());
+  state.counters["smo_iterations"] = static_cast<double>(chain_iterations);
+  state.counters["time_per_smo_iteration"] = benchmark::Counter(
+      total_iterations,
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.SetLabel(ml::smo::kernels().isa);
+}
+BENCHMARK(BM_SmoChainPaperWindow)->Unit(benchmark::kMillisecond);
 
 
 void BM_ForestTrain(benchmark::State& state) {

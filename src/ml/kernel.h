@@ -5,6 +5,7 @@
 
 #pragma once
 
+#include <cmath>
 #include <span>
 #include <string_view>
 
@@ -33,10 +34,15 @@ struct KernelParams {
   int degree = 3;
   double coef0 = 0.0;
 
+  /// Throws ConfigError unless gamma and coef0 are finite, gamma > 0
+  /// (any finite value for the linear kernel, which ignores it) and
+  /// degree >= 1.
   void validate() const {
+    detail::require(std::isfinite(gamma), "kernel gamma must be finite");
     detail::require(gamma > 0.0 || kind == KernelKind::kLinear,
                     "kernel gamma must be positive");
     detail::require(degree >= 1, "kernel degree must be >= 1");
+    detail::require(std::isfinite(coef0), "kernel coef0 must be finite");
   }
 };
 

@@ -2,71 +2,84 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
-#include <list>
+#include <memory>
 #include <tuple>
-#include <unordered_map>
 #include <utility>
+
+#include "ml/svr_smo_kernels.h"
 
 namespace vmtherm::ml {
 
 namespace {
 
-constexpr double kTau = 1e-12;  // floor for non-positive-definite 2x2 blocks
-
-/// LRU cache of kernel rows K(i, .) over the l base samples.
+/// Kernel rows K(i, .) over the l base samples in one flat slab of
+/// min(budget rows, l) slots, with a row -> slot index and per-slot use
+/// stamps for least-recently-used eviction. When the budget holds all l
+/// rows (always so for the grid's folds) nothing is ever evicted and this
+/// is a dense table filled on first use. The slab is left uninitialized,
+/// so untouched slots cost no resident memory.
 class KernelRowCache {
  public:
   KernelRowCache(const Dataset& data, const KernelParams& kernel,
                  double cache_mb)
-      : data_(data), kernel_(kernel) {
-    const std::size_t l = data.size();
-    const double bytes_per_row = static_cast<double>(l) * sizeof(double);
-    max_rows_ = std::max<std::size_t>(
+      : data_(data), kernel_(kernel), l_(data.size()) {
+    const double bytes_per_row = static_cast<double>(l_) * sizeof(double);
+    const std::size_t budget_rows = std::max<std::size_t>(
         2, static_cast<std::size_t>(cache_mb * 1024.0 * 1024.0 /
                                     std::max(1.0, bytes_per_row)));
+    const std::size_t slots = std::min(budget_rows, l_);
+    slab_ = std::make_unique_for_overwrite<double[]>(slots * l_);
+    slot_of_.assign(l_, kNone);
+    row_of_.assign(slots, kNone);
+    stamp_.assign(slots, 0);
   }
 
-  /// Returns K(i, t) for all base t. The returned row becomes the
-  /// most-recently-used entry and max_rows_ >= 2, so it stays valid across
-  /// one further row() call (only the least-recently-used row can be
-  /// evicted): the solver relies on this to hold rows i and j at once. A
-  /// second further call may evict it.
-  const std::vector<double>& row(std::size_t i) {
-    auto it = map_.find(i);
-    if (it != map_.end()) {
-      // Move to front of the LRU list.
-      lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-      return it->second.values;
+  /// Returns K(i, t) for all base t. The returned row gets the newest
+  /// stamp and an evicting cache has >= 2 slots, so it stays valid across
+  /// one further row() call (only the oldest-stamped row can be evicted):
+  /// the solver relies on this to hold rows i and j at once. A second
+  /// further call may evict it.
+  const double* row(std::size_t i) {
+    std::size_t slot = slot_of_[i];
+    if (slot == kNone) {
+      slot = used_ < row_of_.size() ? used_++ : oldest_slot();
+      if (row_of_[slot] != kNone) slot_of_[row_of_[slot]] = kNone;
+      row_of_[slot] = i;
+      slot_of_[i] = slot;
+      double* values = slab_.get() + slot * l_;
+      const auto& xi = data_[i].x;
+      for (std::size_t t = 0; t < l_; ++t) {
+        values[t] = kernel_eval(kernel_, xi, data_[t].x);
+      }
     }
-    if (map_.size() >= max_rows_) {
-      const std::size_t victim = lru_.back();
-      lru_.pop_back();
-      map_.erase(victim);
-    }
-    lru_.push_front(i);
-    Entry entry;
-    entry.lru_it = lru_.begin();
-    entry.values.resize(data_.size());
-    const auto& xi = data_[i].x;
-    for (std::size_t t = 0; t < data_.size(); ++t) {
-      entry.values[t] = kernel_eval(kernel_, xi, data_[t].x);
-    }
-    auto [ins_it, inserted] = map_.emplace(i, std::move(entry));
-    return ins_it->second.values;
+    stamp_[slot] = ++clock_;
+    return slab_.get() + slot * l_;
+  }
+
+  /// RowSource adapter for the WSS2 kernels.
+  static const double* fetch(void* self, std::size_t i) {
+    return static_cast<KernelRowCache*>(self)->row(i);
   }
 
  private:
-  struct Entry {
-    std::vector<double> values;
-    std::list<std::size_t>::iterator lru_it;
-  };
+  static constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
+
+  std::size_t oldest_slot() const {
+    return static_cast<std::size_t>(
+        std::min_element(stamp_.begin(), stamp_.end()) - stamp_.begin());
+  }
 
   const Dataset& data_;
   const KernelParams& kernel_;
-  std::size_t max_rows_;
-  std::unordered_map<std::size_t, Entry> map_;
-  std::list<std::size_t> lru_;
+  std::size_t l_;
+  std::unique_ptr<double[]> slab_;    ///< slots x l kernel values
+  std::vector<std::size_t> slot_of_;  ///< base row -> slot, kNone if absent
+  std::vector<std::size_t> row_of_;   ///< slot -> base row, kNone if free
+  std::vector<std::uint64_t> stamp_;  ///< slot -> last use, for LRU
+  std::size_t used_ = 0;              ///< slots handed out so far
+  std::uint64_t clock_ = 0;
 };
 
 /// SMO solver state for the 2l-variable SVR dual. Q~(i, t) is never
@@ -171,68 +184,16 @@ class SvrSolver {
     return {i_sel, j_sel, gmax - gmin};
   }
 
-  /// Second-order selection (LIBSVM WSS2): i is the maximal violator from
-  /// I_up; j is the I_low index giving the largest guaranteed decrease of
-  /// the dual objective for the (i, j) subproblem. Each scan runs over the
-  /// y = +1 half, then the y = -1 half, so ties still go to the lowest
-  /// index.
+  /// Second-order selection (LIBSVM WSS2) through the resolved kernel
+  /// (svr_smo_kernels.h): i is the maximal violator from I_up; j is the
+  /// I_low index giving the largest guaranteed decrease of the dual
+  /// objective for the (i, j) subproblem. Ties go to the lowest index.
   std::tuple<std::size_t, std::size_t, double>
   select_working_set_second_order() {
-    const double* alpha = alpha_.data();
-    const double* grad = grad_.data();
-
-    // I_up: α_t < C on the y = +1 half, α_t > 0 on the y = -1 half;
-    // -y_t G_t is -G_t and G_t respectively.
-    double gmax = -std::numeric_limits<double>::infinity();
-    std::size_t i_sel = 0;
-    for (std::size_t k = 0; k < l_; ++k) {
-      if (alpha[k] < c_ && -grad[k] > gmax) {
-        gmax = -grad[k];
-        i_sel = k;
-      }
-    }
-    for (std::size_t k = 0; k < l_; ++k) {
-      if (alpha[k + l_] > 0.0 && grad[k + l_] > gmax) {
-        gmax = grad[k + l_];
-        i_sel = k + l_;
-      }
-    }
-    if (!std::isfinite(gmax)) return {0, 0, 0.0};  // I_up empty: optimal
-
-    // Curvature of the (i, t) subproblem: K_ii + K_tt - 2 K_it, whatever
-    // the signs of y_i and y_t.
-    const double* ki = cache_.row(base(i_sel)).data();
-    const double qii = qdiag_[base(i_sel)];
-    double gmax2 = -std::numeric_limits<double>::infinity();
-    double best_obj = std::numeric_limits<double>::infinity();
-    std::size_t j_sel = n_;  // sentinel: no improving j found
-    const auto consider = [&](std::size_t t, std::size_t k, double yg) {
-      gmax2 = std::max(gmax2, yg);
-      const double grad_diff = gmax + yg;
-      if (grad_diff <= 0.0) return;
-      double a = qii + qdiag_[k] - 2.0 * ki[k];
-      if (a <= 0.0) a = kTau;
-      const double obj = -(grad_diff * grad_diff) / a;
-      if (obj < best_obj) {
-        best_obj = obj;
-        j_sel = t;
-      }
-    };
-    // I_low: α_t > 0 on the y = +1 half, α_t < C on the y = -1 half;
-    // y_t G_t is G_t and -G_t respectively.
-    for (std::size_t k = 0; k < l_; ++k) {
-      if (alpha[k] > 0.0) consider(k, k, grad[k]);
-    }
-    for (std::size_t k = 0; k < l_; ++k) {
-      if (alpha[k + l_] < c_) consider(k + l_, k, -grad[k + l_]);
-    }
-    const double violation = gmax + gmax2;
-    if (j_sel == n_) {
-      // No pair yields progress: report the raw violation with a dummy j;
-      // the caller stops if it is under tolerance.
-      return {i_sel, i_sel, violation};
-    }
-    return {i_sel, j_sel, violation};
+    const smo::View view{alpha_.data(), grad_.data(), qdiag_.data(), l_, c_};
+    const smo::WorkingSet ws =
+        kernels_.wss2(view, {&KernelRowCache::fetch, &cache_});
+    return {ws.i, ws.j, ws.violation};
   }
 
   void update_pair(std::size_t i, std::size_t j) {
@@ -241,15 +202,15 @@ class SvrSolver {
     const double yj = sign(j);
 
     // Row i stays valid across the row(j) call (see KernelRowCache::row).
-    const double* ki = cache_.row(base(i)).data();
-    const double* kj = cache_.row(base(j)).data();
+    const double* ki = cache_.row(base(i));
+    const double* kj = cache_.row(base(j));
 
     const double old_ai = alpha_[i];
     const double old_aj = alpha_[j];
 
     // K_ii + K_jj - 2 K_ij for both sign cases: Q~_ij = y_i y_j K_ij.
     double quad = qdiag_[base(i)] + qdiag_[base(j)] - 2.0 * ki[base(j)];
-    if (quad <= 0.0) quad = kTau;
+    if (quad <= 0.0) quad = smo::kTau;
     if (yi != yj) {
       const double delta = (-grad_[i] - grad_[j]) / quad;
       const double diff = alpha_[i] - alpha_[j];
@@ -311,15 +272,7 @@ class SvrSolver {
     if (dai == 0.0 && daj == 0.0) return;
     // G_t += Q~_it Δα_i + Q~_jt Δα_j with Q~_it = y_i y_t K_i[base(t)]:
     // one pass over the base samples updates both halves.
-    const double si = yi * dai;
-    const double sj = yj * daj;
-    double* g_pos = grad_.data();
-    double* g_neg = grad_.data() + l_;
-    for (std::size_t k = 0; k < l_; ++k) {
-      const double d = si * ki[k] + sj * kj[k];
-      g_pos[k] += d;
-      g_neg[k] -= d;
-    }
+    kernels_.grad_update(grad_.data(), l_, ki, kj, yi * dai, yj * daj);
   }
 
   /// LIBSVM's calculate_rho over the unified solver variables.
@@ -351,6 +304,7 @@ class SvrSolver {
   std::size_t l_;
   std::size_t n_;
   KernelRowCache cache_;
+  const smo::Kernels& kernels_ = smo::kernels();
   double c_ = 0.0;  ///< box constraint of the current solve()
   std::vector<double> alpha_;
   std::vector<double> grad_;

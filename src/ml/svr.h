@@ -11,15 +11,23 @@
 //
 //   min_α  1/2 αᵀ Q~ α + pᵀ α   s.t.  yᵀα = 0,  0 <= α_i <= C
 //
-// solved by maximal-violating-pair SMO with an LRU kernel-row cache. The
-// regression coefficients are β_k = α_k - α_{k+l} and the decision function
-// is f(x) = Σ_k β_k K(x_k, x) + b with b = -ρ from the solver's optimality
+// solved by SMO with second-order working-set selection (or the
+// maximal-violating pair) over a kernel-row cache. The regression
+// coefficients are β_k = α_k - α_{k+l} and the decision function is
+// f(x) = Σ_k β_k K(x_k, x) + b with b = -ρ from the solver's optimality
 // conditions. Deterministic given the dataset order.
 //
 // The solver never builds a Q~ row: each update reads the two cached
 // length-l kernel rows K(x_{i mod l}, ·) and K(x_{j mod l}, ·) directly
 // (the cache keeps the first row alive across the second lookup) and
 // applies the ±1 signs explicitly, which is exact in IEEE arithmetic.
+//
+// ISA dispatch: the two O(l) loops of an iteration, the WSS2 scan and the
+// gradient update, run through svr_smo_kernels.h, which picks AVX-512 or
+// portable scalar bodies once per process from CPU detection. The AVX-512
+// bodies return the scalar bodies' bits, so training results (α, bias,
+// iteration counts, support vectors) do not depend on the ISA chosen.
+// Inference is different: its bits are fixed per build (svr_inference.h).
 //
 // Warm C path: Q~ and p do not depend on C, and an α feasible for box C is
 // feasible for any C' >= C. train_c_path() therefore solves a
@@ -31,6 +39,7 @@
 
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -59,12 +68,18 @@ struct SvrParams {
   /// the same optimum; the perf_svr bench quantifies the difference.
   bool second_order_working_set = true;
 
+  /// Throws ConfigError on an invalid kernel or a C, epsilon or cache_mb
+  /// that is non-finite or out of range (an infinite epsilon would train a
+  /// "converged" model with a NaN bias; an infinite C never converges).
   void validate() const {
     kernel.validate();
-    detail::require(c > 0.0, "svr C must be positive");
-    detail::require(epsilon >= 0.0, "svr epsilon must be >= 0");
+    detail::require(c > 0.0 && std::isfinite(c),
+                    "svr C must be positive and finite");
+    detail::require(epsilon >= 0.0 && std::isfinite(epsilon),
+                    "svr epsilon must be finite and >= 0");
     detail::require(tolerance > 0.0, "svr tolerance must be positive");
-    detail::require(cache_mb > 0.0, "svr cache_mb must be positive");
+    detail::require(cache_mb > 0.0 && std::isfinite(cache_mb),
+                    "svr cache_mb must be positive and finite");
   }
 };
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <numbers>
 #include <string_view>
 
@@ -60,6 +61,71 @@ TEST(SvrTest, InvalidParamsRejected) {
   params = SvrParams{};
   params.epsilon = -0.1;
   EXPECT_THROW((void)SvrModel::train(data, params), ConfigError);
+}
+
+// Non-finite parameters used to train a "converged" model with a NaN bias
+// (RBF gamma = +inf, polynomial coef0 = NaN, epsilon = +inf) or run to
+// max_iterations (C = +inf). Each is now a ConfigError from train() and,
+// for the kernel fields, from the SvrModel constructor as well.
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+void expect_kernel_rejected(const KernelParams& kernel) {
+  const auto data = linear_data(40, 1.0, 0.0, 0.1, 3);
+  SvrParams params;
+  params.kernel = kernel;
+  EXPECT_THROW((void)SvrModel::train(data, params), ConfigError);
+  EXPECT_THROW(SvrModel(kernel, {{0.5}}, {1.0}, 0.0), ConfigError);
+}
+
+void expect_params_rejected(const SvrParams& params) {
+  const auto data = linear_data(40, 1.0, 0.0, 0.1, 3);
+  EXPECT_THROW((void)SvrModel::train(data, params), ConfigError);
+}
+
+TEST(SvrTest, RejectsNonFiniteGamma) {
+  for (const KernelKind kind : {KernelKind::kRbf, KernelKind::kLinear}) {
+    for (const double gamma : {kInf, std::nan("")}) {
+      KernelParams kernel;
+      kernel.kind = kind;
+      kernel.gamma = gamma;
+      expect_kernel_rejected(kernel);
+    }
+  }
+}
+
+TEST(SvrTest, RejectsNonFiniteCoef0) {
+  for (const KernelKind kind :
+       {KernelKind::kPolynomial, KernelKind::kSigmoid}) {
+    for (const double coef0 : {std::nan(""), -kInf}) {
+      KernelParams kernel;
+      kernel.kind = kind;
+      kernel.coef0 = coef0;
+      expect_kernel_rejected(kernel);
+    }
+  }
+}
+
+TEST(SvrTest, RejectsNonFiniteC) {
+  for (const double c : {kInf, std::nan("")}) {
+    SvrParams params;
+    params.c = c;
+    expect_params_rejected(params);
+  }
+}
+
+TEST(SvrTest, RejectsNonFiniteEpsilon) {
+  for (const double epsilon : {kInf, std::nan("")}) {
+    SvrParams params;
+    params.epsilon = epsilon;
+    expect_params_rejected(params);
+  }
+}
+
+TEST(SvrTest, RejectsNonFiniteCacheBudget) {
+  // An infinite budget would be cast to a row count.
+  SvrParams params;
+  params.cache_mb = kInf;
+  expect_params_rejected(params);
 }
 
 TEST(SvrTest, FitsConstantTarget) {
