@@ -287,6 +287,9 @@ VMTHERM_AVX512 WorkingSet wss2_avx512(const View& s, RowSource rows) {
           violation};
 }
 
+// Worth its own body: on a 4-core AVX-512 Xeon it cuts an SMO iteration at
+// l = 180 (BM_SmoChainPaperWindow) by about a tenth against the scalar loop,
+// whether that loop is inlined in the solver or called through kernels().
 VMTHERM_AVX512 void grad_update_avx512(double* grad, std::size_t l,
                                        const double* ki, const double* kj,
                                        double si, double sj) noexcept {
